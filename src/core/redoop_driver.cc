@@ -782,16 +782,21 @@ double RedoopDriver::EstimatePairPathCost(
          static_cast<double>(pairs.size()) * cost.TaskStartupTime();
 }
 
-double RedoopDriver::EstimateRecomputePathCost(int64_t recurrence) const {
-  const CostModel& cost = cluster_->cost_model();
-  const PaneRange panes = geometry_.PanesForRecurrence(recurrence);
-  int64_t window_bytes = 0;
+int64_t RedoopDriver::WindowInputBytes(const PaneRange& panes) const {
+  int64_t bytes = 0;
   for (const QuerySource& qs : query_.sources) {
     for (PaneId p = panes.first; p < panes.last; ++p) {
       auto it = pane_states_.find({qs.id, p});
-      if (it != pane_states_.end()) window_bytes += it->second.bytes;
+      if (it != pane_states_.end()) bytes += it->second.bytes;
     }
   }
+  return bytes;
+}
+
+double RedoopDriver::EstimateRecomputePathCost(int64_t recurrence) const {
+  const CostModel& cost = cluster_->cost_model();
+  const int64_t window_bytes =
+      WindowInputBytes(geometry_.PanesForRecurrence(recurrence));
   // Read + join-scan the whole window, then write the full output anew
   // (estimated from the previous window's output volume).
   return cost.LocalReadTime(window_bytes) +
@@ -1134,13 +1139,7 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       report.output = std::move(result.output);
       SortByKey(&report.output);
       report.output_records = static_cast<int64_t>(report.output.size());
-      for (const QuerySource& qs : query_.sources) {
-        for (PaneId p = panes.first; p < panes.last; ++p) {
-          auto it = pane_states_.find({qs.id, p});
-          if (it != pane_states_.end())
-            report.window_input_bytes += it->second.bytes;
-        }
-      }
+      report.window_input_bytes = WindowInputBytes(panes);
       return report;
     }
     case EffectivePattern::kPanePairJoin: {
@@ -1153,13 +1152,7 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
         join_window_override_.reset();
         SortByKey(&report.output);
         report.output_records = static_cast<int64_t>(report.output.size());
-        for (const QuerySource& qs : query_.sources) {
-          for (PaneId p = panes.first; p < panes.last; ++p) {
-            auto it = pane_states_.find({qs.id, p});
-            if (it != pane_states_.end())
-              report.window_input_bytes += it->second.bytes;
-          }
-        }
+        report.window_input_bytes = WindowInputBytes(panes);
         return report;
       }
       // The window result is the union of the in-window pane-pair outputs.
@@ -1168,9 +1161,10 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       // finalization is a pure metadata union — no re-reading or
       // re-writing of result bytes (this is where the join's Fig. 7 gains
       // come from: Hadoop rewrites the whole window's output every
-      // recurrence).
-      WindowReport report;
-      report.recurrence = recurrence;
+      // recurrence). Every pair payload is resolved first so the union
+      // reserves once; the store entries own them and nothing touches the
+      // store until the union is built.
+      std::vector<const FlatKvBuffer*> payloads;
       for (PaneId l = panes.first; l < panes.last; ++l) {
         for (PaneId r = panes.first; r < panes.last; ++r) {
           for (int32_t part = 0; part < num_partitions; ++part) {
@@ -1182,20 +1176,17 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
             const CacheStore::Entry* entry =
                 store_->Find(CacheKey::FromName(sig->name));
             REDOOP_CHECK(entry != nullptr);
-            entry->payload()->AppendToKeyValues(&report.output);
+            payloads.push_back(entry->payload().get());
           }
         }
       }
+      WindowReport report;
+      report.recurrence = recurrence;
+      report.output = ConcatToKeyValues(payloads);
       SortByKey(&report.output);
       report.output_records = static_cast<int64_t>(report.output.size());
       last_join_output_bytes_ = TotalLogicalBytes(report.output);
-      for (const QuerySource& qs : query_.sources) {
-        for (PaneId p = panes.first; p < panes.last; ++p) {
-          auto it = pane_states_.find({qs.id, p});
-          if (it != pane_states_.end())
-            report.window_input_bytes += it->second.bytes;
-        }
-      }
+      report.window_input_bytes = WindowInputBytes(panes);
       return report;
     }
     case EffectivePattern::kNoCaching: {
@@ -1229,12 +1220,7 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
   report.output = std::move(result.output);
   SortByKey(&report.output);
   report.output_records = static_cast<int64_t>(report.output.size());
-  for (const QuerySource& qs : query_.sources) {
-    for (PaneId p = panes.first; p < panes.last; ++p) {
-      auto it = pane_states_.find({qs.id, p});
-      if (it != pane_states_.end()) report.window_input_bytes += it->second.bytes;
-    }
-  }
+  report.window_input_bytes = WindowInputBytes(panes);
   return report;
 }
 

@@ -315,6 +315,8 @@ class RedoopDriver {
                          PaneId pane_for_roc);
   void AccumulateJobStats(const JobResult& result);
   WindowReport AssembleWindow(int64_t recurrence);
+  /// Summed ingested bytes of every source's panes in the range.
+  int64_t WindowInputBytes(const PaneRange& panes) const;
   /// Classifies every in-window pane as a cache hit (its caches predate
   /// this recurrence) or miss (built or still unbuilt this recurrence) and
   /// journals the verdicts. Called once per window, before assembly runs

@@ -1381,18 +1381,18 @@ JobResult JobRunner::Run(const JobSpec& spec) {
 
   if (result.status.ok()) {
     // Assemble output and caches in deterministic partition order.
+    std::vector<const FlatKvBuffer*> outputs;
     for (auto& task : run.reduces) {
       result.shuffle_time_total += task->timing.shuffle;
       result.reduce_time_total += task->timing.read + task->timing.sort +
                                   task->timing.compute + task->timing.write;
-      if (task->output != nullptr) {
-        task->output->AppendToKeyValues(&result.output);
-      }
+      if (task->output != nullptr) outputs.push_back(task->output.get());
       for (MaterializedCache& cache : task->caches) {
         if (cache.bytes < 0) continue;  // Dropped: node disk was full.
         result.caches.push_back(std::move(cache));
       }
     }
+    result.output = ConcatToKeyValues(outputs);
     // Write the job output to DFS when requested.
     if (!spec.output_prefix.empty()) {
       std::vector<Record> out_records;

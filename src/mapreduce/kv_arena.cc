@@ -277,11 +277,20 @@ std::vector<KeyValue> FlatKvBuffer::ToKeyValues() const {
 }
 
 void FlatKvBuffer::AppendToKeyValues(std::vector<KeyValue>* out) const {
-  out->reserve(out->size() + size());
   for (size_t i = 0; i < size(); ++i) {
     out->emplace_back(std::string(key(i)), std::string(value(i)),
                       logical_bytes(i));
   }
+}
+
+std::vector<KeyValue> ConcatToKeyValues(
+    std::span<const FlatKvBuffer* const> parts) {
+  size_t rows = 0;
+  for (const FlatKvBuffer* part : parts) rows += part->size();
+  std::vector<KeyValue> out;
+  out.reserve(rows);
+  for (const FlatKvBuffer* part : parts) part->AppendToKeyValues(&out);
+  return out;
 }
 
 FlatKvBuffer FlatKvBuffer::FromKeyValues(std::span<const KeyValue> kvs) {

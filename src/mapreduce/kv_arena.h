@@ -134,6 +134,8 @@ class FlatKvBuffer {
                     logical_bytes(i));
   }
   std::vector<KeyValue> ToKeyValues() const;
+  /// Appends without reserving (an exact reserve per call would reallocate
+  /// on every call); unions of many buffers go through ConcatToKeyValues.
   void AppendToKeyValues(std::vector<KeyValue>* out) const;
   static FlatKvBuffer FromKeyValues(std::span<const KeyValue> kvs);
 
@@ -243,6 +245,12 @@ class KvRange {
 /// order, then within-run order: the merge is stable with respect to the
 /// concatenation order of `runs`, keeping reduce groups deterministic.
 FlatKvBuffer MergeFlatRuns(std::span<const FlatKvBuffer* const> runs);
+
+/// Materializes the concatenation of `parts`, in order, reserving the total
+/// once so the union is linear in its rows (the join window's union of
+/// pane-pair outputs, a job's per-partition outputs).
+std::vector<KeyValue> ConcatToKeyValues(
+    std::span<const FlatKvBuffer* const> parts);
 
 /// Reusable scratch that materializes flat pairs as KeyValue strings for
 /// the user-facing Reduce interface. String capacity is recycled across

@@ -134,8 +134,9 @@ class EventJournal {
   /// Caps retained serialized bytes; <= 0 (the default) means unbounded.
   /// May be set or changed at any point before or between Appends (same
   /// single-writer thread); shrinking the budget evicts on the next
-  /// Append.
-  void SetRetentionBudget(int64_t max_bytes) { retention_budget_ = max_bytes; }
+  /// Append. Unbudgeted appends never serialize an event to size it;
+  /// setting a budget sizes that backlog once.
+  void SetRetentionBudget(int64_t max_bytes);
   int64_t retention_budget() const { return retention_budget_; }
   /// Events / serialized bytes evicted by the retention budget so far
   /// (or restored from a parsed "journal.truncated" marker).
@@ -189,8 +190,9 @@ class EventJournal {
 
   std::deque<Event> events_;
   std::vector<std::pair<std::string, std::string>> common_fields_;
-  /// Serialized size of each sealed event; parallel prefix of events_
-  /// (the newest event is unsealed until the next Append).
+  /// Serialized size of each sealed event; parallel prefix of events_.
+  /// With a budget set it covers all but the newest event (unsealed until
+  /// the next Append); without one nothing is sealed.
   std::deque<int64_t> sealed_sizes_;
   int64_t sealed_bytes_ = 0;
   int64_t retention_budget_ = 0;  ///< <= 0: unbounded.

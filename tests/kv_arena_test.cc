@@ -44,6 +44,40 @@ TEST(FlatKvBufferTest, RoundTripsThroughKeyValues) {
   EXPECT_EQ(buf.ToKeyValues(), kvs);
 }
 
+// The window union appends thousands of small payloads into one vector.
+// AppendToKeyValues must leave growth geometric: an exact reserve per call
+// reallocates (and moves every row) on every append, which is quadratic.
+TEST(FlatKvBufferTest, RepeatedAppendsGrowGeometrically) {
+  constexpr int kBuffers = 2000;
+  std::vector<FlatKvBuffer> buffers(kBuffers);
+  std::vector<KeyValue> expected;
+  for (int i = 0; i < kBuffers; ++i) {
+    const std::string key = "client-" + std::to_string(i % 97);
+    const std::string value = std::to_string(i);
+    buffers[i].Append(key, value, 20 + i % 5);
+    buffers[i].ShrinkToFit();  // Drop the mostly unused first chunk.
+    expected.emplace_back(key, value, 20 + i % 5);
+  }
+  std::vector<KeyValue> out;
+  int capacity_changes = 0;
+  for (const FlatKvBuffer& buf : buffers) {
+    const size_t before = out.capacity();
+    buf.AppendToKeyValues(&out);
+    if (out.capacity() != before) ++capacity_changes;
+  }
+  // ~log2(2000) = 11 doublings; twice that leaves room for any growth
+  // factor above ~1.4 and still rejects one reallocation per append.
+  EXPECT_LE(capacity_changes, 22);
+  EXPECT_EQ(out, expected);
+
+  // The engine's union reserves the exact total once.
+  std::vector<const FlatKvBuffer*> parts;
+  for (const FlatKvBuffer& buf : buffers) parts.push_back(&buf);
+  const std::vector<KeyValue> concat = ConcatToKeyValues(parts);
+  EXPECT_EQ(concat.capacity(), concat.size());
+  EXPECT_EQ(concat, expected);
+}
+
 TEST(FlatKvBufferTest, PairLargerThanChunkGetsOwnChunk) {
   FlatKvBuffer buf;
   const std::string big(1 << 20, 'x');  // 1 MiB > 256 KiB chunk.

@@ -789,6 +789,52 @@ TEST(EventJournalTest, RetentionBudgetEvictsOldestEvents) {
   EXPECT_EQ(bounded.dropped_bytes(), 0);
 }
 
+// Appends the i-th event of a stream of nested spans: each block of ten
+// is a window.open, three task spans that end two events after they
+// start, ticks of varying size, and the window.complete.
+void AppendSpanStreamEvent(obs::EventJournal* journal, int i) {
+  const double t = static_cast<double>(i);
+  const int block = i / 10;
+  const int slot = i % 10;
+  if (slot == 0 || slot == 9) {
+    journal->Append(t, slot == 0 ? obs::event::kWindowOpen
+                                 : obs::event::kWindowComplete)
+        .With("query", "q")
+        .With("recurrence", block);
+  } else if (slot >= 1 && slot <= 3) {
+    journal->Append(t, obs::event::kTaskStart).With("task", block * 10 + slot);
+  } else if (slot >= 5 && slot <= 7) {
+    journal->Append(t, obs::event::kTaskFinish)
+        .With("task", block * 10 + slot - 4);
+  } else {
+    journal->Append(t, "tick").With("pad", std::string(i * 7 % 30, 'x'));
+  }
+}
+
+TEST(EventJournalTest, LateRetentionBudgetEvictsLikeAnEarlyOne) {
+  constexpr int kEvents = 120;
+  constexpr int64_t kBudget = 700;
+  obs::EventJournal early;
+  early.SetRetentionBudget(kBudget);
+  for (int i = 0; i < kEvents; ++i) AppendSpanStreamEvent(&early, i);
+  ASSERT_GT(early.dropped_events(), 0);
+
+  // Unbudgeted appends are not sized; the late budget must size them when
+  // it is set, so the next Append evicts exactly what the early one did.
+  for (int set_after : {1, 2, 7, 40, 99, kEvents - 1}) {
+    obs::EventJournal late;
+    for (int i = 0; i < set_after; ++i) AppendSpanStreamEvent(&late, i);
+    EXPECT_EQ(late.dropped_events(), 0);
+    late.SetRetentionBudget(kBudget);
+    for (int i = set_after; i < kEvents; ++i) AppendSpanStreamEvent(&late, i);
+    EXPECT_EQ(late.ToJsonl(), early.ToJsonl()) << "set after " << set_after;
+    EXPECT_EQ(late.dropped_events(), early.dropped_events())
+        << "set after " << set_after;
+    EXPECT_EQ(late.dropped_bytes(), early.dropped_bytes())
+        << "set after " << set_after;
+  }
+}
+
 TEST(EventJournalTest, TruncationMarkerRoundTripsThroughJsonl) {
   obs::EventJournal journal;
   journal.SetRetentionBudget(256);
