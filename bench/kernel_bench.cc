@@ -8,6 +8,8 @@
 //     (emit -> partition -> combine -> sorted buckets) flat vs string.
 //   - window assembly: the join window's union of cached pane-pair
 //     payloads, one exact reserve per append vs one reserve in total.
+//   - small-buffer arena footprint: thousands of small reduce outputs and
+//     their merges, bytes allocated vs the bytes they hold.
 //
 // Alongside wall time the arena benches report pairs/sec and host bytes
 // allocated, via a counting global operator new hook in this TU — the
@@ -41,6 +43,7 @@
 #include "mapreduce/kv.h"
 #include "mapreduce/kv_arena.h"
 #include "mapreduce/kv_columnar.h"
+#include "mapreduce/reducer.h"
 #include "obs/observability.h"
 #include "obs/telemetry_scope.h"
 #include "obs/trace/trace_context.h"
@@ -287,15 +290,16 @@ uint64_t PipelineStrings(size_t n, size_t partitions, uint64_t seed) {
 // Window assembly: the pane-pair join's union of cached payloads
 // ---------------------------------------------------------------------------
 
-/// `buffers` pane-pair join payloads of about `pairs` rows each, shaped like
-/// the FFG join's output: a grid-cell key and the two joined sensor tuples.
-std::vector<FlatKvBuffer> MakePairPayloads(size_t buffers, size_t pairs,
-                                           uint64_t seed) {
+/// Rows of `buffers` pane-pair join outputs of about `pairs` rows each,
+/// shaped like the FFG join's output: a grid-cell key and the two joined
+/// sensor tuples.
+std::vector<std::vector<KeyValue>> MakePairRows(size_t buffers, size_t pairs,
+                                                uint64_t seed) {
   Random rng(seed);
-  std::vector<FlatKvBuffer> payloads(buffers);
+  std::vector<std::vector<KeyValue>> outputs(buffers);
   char key[32];
   char value[96];
-  for (FlatKvBuffer& payload : payloads) {
+  for (std::vector<KeyValue>& rows : outputs) {
     const size_t n = pairs / 2 + rng.Uniform(pairs + 1);
     for (size_t i = 0; i < n; ++i) {
       const int key_len = std::snprintf(
@@ -308,11 +312,20 @@ std::vector<FlatKvBuffer> MakePairPayloads(size_t buffers, size_t pairs,
           rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000),
           static_cast<unsigned long long>(rng.Uniform(5000)),
           rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000));
-      payload.Append(std::string_view(key, static_cast<size_t>(key_len)),
-                     std::string_view(value, static_cast<size_t>(value_len)),
-                     48);
+      rows.emplace_back(std::string(key, static_cast<size_t>(key_len)),
+                        std::string(value, static_cast<size_t>(value_len)),
+                        48);
     }
-    payload.ShrinkToFit();
+  }
+  return outputs;
+}
+
+/// MakePairRows as cached flat payloads.
+std::vector<FlatKvBuffer> MakePairPayloads(size_t buffers, size_t pairs,
+                                           uint64_t seed) {
+  std::vector<FlatKvBuffer> payloads;
+  for (const auto& rows : MakePairRows(buffers, pairs, seed)) {
+    payloads.push_back(FlatKvBuffer::FromKeyValues(rows));
   }
   return payloads;
 }
@@ -339,6 +352,45 @@ std::vector<KeyValue> UnionReserveOnce(
   std::vector<KeyValue> out = ConcatToKeyValues(parts);
   SortByKey(&out);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Small-buffer arena footprint: the reduce path's many small outputs
+// ---------------------------------------------------------------------------
+
+/// Emits each output's (sorted) rows through a ReduceContext, as the reduce
+/// path builds pane-pair outputs, and merges every `group` consecutive
+/// outputs with MergeFlatRuns. Adds the exact footprint of every buffer
+/// built (pair bytes plus slice index) to `*footprint`; returns the pairs
+/// merged.
+uint64_t BuildAndMergeSmallBuffers(
+    const std::vector<std::vector<KeyValue>>& outputs, size_t group,
+    uint64_t* footprint) {
+  const auto exact_bytes = [](const FlatKvBuffer& buf) {
+    return static_cast<uint64_t>(buf.ArenaBytes() +
+                                 buf.size() * sizeof(KvSlice));
+  };
+  uint64_t merged_pairs = 0;
+  std::vector<FlatKvBuffer> built;
+  std::vector<const FlatKvBuffer*> runs;
+  for (size_t begin = 0; begin < outputs.size(); begin += group) {
+    const size_t end = std::min(outputs.size(), begin + group);
+    built.clear();
+    runs.clear();
+    for (size_t o = begin; o < end; ++o) {
+      ReduceContext context;
+      for (const KeyValue& kv : outputs[o]) {
+        context.Emit(kv.key, kv.value, kv.logical_bytes);
+      }
+      built.push_back(context.TakeFlat());
+      *footprint += exact_bytes(built.back());
+    }
+    for (const FlatKvBuffer& buf : built) runs.push_back(&buf);
+    const FlatKvBuffer merged = MergeFlatRuns(runs);
+    *footprint += exact_bytes(merged);
+    merged_pairs += merged.size();
+  }
+  return merged_pairs;
 }
 
 struct Report {
@@ -675,6 +727,34 @@ int Main(int argc, char** argv) {
     window_assembly_target_met = flat_alloc <= 2 * output_bytes;
   }
 
+  bool small_buffer_target_met = false;
+  {
+    // Arena footprint of small buffers at the join-pairs shape: 4,096
+    // pane-pair outputs of ~40 rows built through ReduceContext, merged in
+    // groups of 10. The bar is on bytes allocated, which are deterministic:
+    // at most 3x the exact footprint of the buffers built, where a fixed
+    // 256 KiB first chunk per buffer costs ~50x.
+    auto outputs = MakePairRows(4'096, 40, /*seed=*/85);
+    for (auto& rows : outputs) SortByKey(&rows);
+    uint64_t alloc = 0, footprint = 0;
+    const double s = BestOfCounted(reps, &sink, &alloc, [&] {
+      footprint = 0;
+      return BuildAndMergeSmallBuffers(outputs, 10, &footprint);
+    });
+    size_t pairs = 0;
+    for (const auto& rows : outputs) pairs += rows.size();
+    report.Line("%-24s %10s %10.3f %7s %9.1f %9s %9.1f",
+                "arena-small-buffers", "-", s * 1e3, "-",
+                static_cast<double>(pairs) / s / 1e6, "-",
+                static_cast<double>(alloc) / 1e6);
+    report.Line("arena-small-buffers %.1f MB allocated for %.1f MB payload "
+                "(%.2fx)",
+                static_cast<double>(alloc) / 1e6,
+                static_cast<double>(footprint) / 1e6,
+                static_cast<double>(alloc) / static_cast<double>(footprint));
+    small_buffer_target_met = alloc <= 3 * footprint;
+  }
+
   bool trace_target_met = false;
   double trace_overhead = 0.0;
   {
@@ -749,7 +829,9 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(sink),
               static_cast<unsigned long long>(g_alloc_calls));
   report.Line("assembly >=2x at k>=8,n>=10k: %s",
-              assembly_target_met ? "PASS" : "FAIL");
+              assembly_target_met ? "PASS"
+                                  : (smoke ? "FAIL (not enforced in smoke)"
+                                           : "FAIL"));
   report.Line("map-pipeline >=2x at 1M pairs: %s",
               pipeline_target_met ? "PASS"
                                   : (smoke ? "FAIL (not enforced in smoke)"
@@ -760,6 +842,8 @@ int Main(int argc, char** argv) {
                                         : "FAIL"));
   report.Line("window-assembly alloc <= 2x output: %s",
               window_assembly_target_met ? "PASS" : "FAIL");
+  report.Line("arena small-buffer alloc <= 3x payload: %s",
+              small_buffer_target_met ? "PASS" : "FAIL");
   report.Line("tracing overhead <2%% on map pipeline: %s",
               trace_target_met ? "PASS"
                                : (smoke ? "FAIL (not enforced in smoke)"
@@ -777,7 +861,8 @@ int Main(int argc, char** argv) {
   }
   if (smoke) return 0;  // Smoke runs report, full runs enforce.
   return (assembly_target_met && pipeline_target_met && radix_target_met &&
-          window_assembly_target_met && trace_target_met)
+          window_assembly_target_met && small_buffer_target_met &&
+          trace_target_met)
              ? 0
              : 2;
 }

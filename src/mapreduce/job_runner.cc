@@ -106,9 +106,7 @@ FlatKvBuffer CombinePartition(const FlatKvBuffer& flat,
   }
   // One sorted materialization of the (combined, smaller) output.
   FlatKvBuffer combined = combine_out.TakeFlat();
-  FlatKvBuffer bucket = combined.SortedCopy();
-  bucket.ShrinkToFit();
-  return bucket;
+  return combined.SortedCopy();
 }
 
 }  // namespace
@@ -460,9 +458,8 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
     const Partitioner* partitioner, int32_t num_partitions) {
   MapPayloadResult out;
   MapContext context;
-  // Most mappers emit about one pair per record; ShrinkToFit on the final
-  // buckets trims any over-reservation before they are retained for the
-  // whole shuffle.
+  // Most mappers emit about one pair per record. The final buckets are
+  // exact-size copies, so nothing over-reserved here outlives the task.
   context.Reserve(static_cast<size_t>(record_end - record_begin));
   const std::vector<Record>& rows = file->rows();  // Decoded once, memoized.
   for (int64_t r = record_begin; r < record_end; ++r) {
@@ -502,10 +499,14 @@ JobRunner::MapPayloadResult JobRunner::ExecuteMapPayload(
       buckets[p] = CombinePartition(output, idx, combiner);
     } else {
       SortSliceIndices(output, &idx);
+      size_t bytes = 0;
+      for (uint32_t i : idx) {
+        bytes += output.key(i).size() + output.value(i).size();
+      }
       FlatKvBuffer bucket;
       bucket.Reserve(idx.size());
+      bucket.ReserveBytes(bytes);
       for (uint32_t i : idx) bucket.AppendFrom(output, i);
-      bucket.ShrinkToFit();
       buckets[p] = std::move(bucket);
     }
     out.bucket_bytes[p] = buckets[p].total_logical_bytes();

@@ -21,14 +21,33 @@ int CompareBytes(std::string_view a, std::string_view b) {
 
 }  // namespace
 
+void FlatKvBuffer::OpenChunk(size_t capacity) {
+  Chunk chunk;
+  chunk.capacity = capacity;
+  chunk.data = std::make_unique_for_overwrite<char[]>(capacity);
+  chunks_.push_back(std::move(chunk));
+  REDOOP_CHECK(chunks_.size() <= (1ull << 32))
+      << "FlatKvBuffer chunk index overflow";
+}
+
+void FlatKvBuffer::ReserveBytes(size_t bytes) {
+  // Offsets inside a chunk are 32-bit: a larger payload grows on demand.
+  if (bytes == 0 || bytes > (1ull << 32)) return;
+  if (!chunks_.empty() &&
+      chunks_.back().capacity - chunks_.back().used >= bytes) {
+    return;
+  }
+  OpenChunk(bytes);
+}
+
 uint64_t FlatKvBuffer::Allocate(size_t n) {
   if (chunks_.empty() || chunks_.back().capacity - chunks_.back().used < n) {
-    Chunk chunk;
-    chunk.capacity = n > kChunkSize ? n : kChunkSize;
-    chunk.data = std::make_unique<char[]>(chunk.capacity);
-    chunks_.push_back(std::move(chunk));
-    REDOOP_CHECK(chunks_.size() <= (1ull << 32))
-        << "FlatKvBuffer chunk index overflow";
+    const size_t grown =
+        chunks_.empty()
+            ? kFirstChunkSize
+            : std::clamp(2 * chunks_.back().capacity, kFirstChunkSize,
+                         kMaxChunkSize);
+    OpenChunk(std::max(n, grown));
   }
   Chunk& chunk = chunks_.back();
   REDOOP_CHECK(chunk.used <= (1ull << 32) - n)
@@ -242,6 +261,7 @@ FlatKvBuffer FlatKvBuffer::SortedCopy() const {
   const std::vector<uint32_t> order = SortedOrder();
   FlatKvBuffer sorted;
   sorted.Reserve(order.size());
+  sorted.ReserveBytes(ArenaBytes());
   for (uint32_t i : order) sorted.AppendFrom(*this, i);
   return sorted;
 }
@@ -254,10 +274,12 @@ void FlatKvBuffer::ShrinkToFit() {
   Chunk& last = chunks_.back();
   if (last.used == last.capacity) return;
   if (last.used == 0) {
-    chunks_.pop_back();
+    // Zero-length pairs may still address this chunk: keep its slot.
+    last.data.reset();
+    last.capacity = 0;
     return;
   }
-  auto trimmed = std::make_unique<char[]>(last.used);
+  auto trimmed = std::make_unique_for_overwrite<char[]>(last.used);
   std::memcpy(trimmed.get(), last.data.get(), last.used);
   last.data = std::move(trimmed);
   last.capacity = last.used;
@@ -294,18 +316,30 @@ std::vector<KeyValue> ConcatToKeyValues(
 }
 
 FlatKvBuffer FlatKvBuffer::FromKeyValues(std::span<const KeyValue> kvs) {
+  size_t bytes = 0;
+  for (const KeyValue& kv : kvs) bytes += kv.key.size() + kv.value.size();
   FlatKvBuffer buf;
   buf.Reserve(kvs.size());
+  buf.ReserveBytes(bytes);
   for (const KeyValue& kv : kvs) buf.Append(kv.key, kv.value, kv.logical_bytes);
   return buf;
 }
 
 int64_t FlatKvBuffer::HostBytes() const {
-  int64_t total = static_cast<int64_t>(slices_.capacity() * sizeof(KvSlice));
-  for (const Chunk& chunk : chunks_) {
-    total += static_cast<int64_t>(chunk.capacity);
-  }
-  return total;
+  return static_cast<int64_t>(slices_.capacity() * sizeof(KvSlice) +
+                              ArenaCapacity());
+}
+
+size_t FlatKvBuffer::ArenaBytes() const {
+  size_t used = 0;
+  for (const Chunk& chunk : chunks_) used += chunk.used;
+  return used;
+}
+
+size_t FlatKvBuffer::ArenaCapacity() const {
+  size_t capacity = 0;
+  for (const Chunk& chunk : chunks_) capacity += chunk.capacity;
+  return capacity;
 }
 
 namespace {
@@ -389,10 +423,12 @@ class FlatLoserTree {
 
 FlatKvBuffer MergeFlatRuns(std::span<const FlatKvBuffer* const> runs) {
   size_t total = 0;
+  size_t bytes = 0;
   size_t non_empty = 0;
   const FlatKvBuffer* last = nullptr;
   for (const FlatKvBuffer* run : runs) {
     total += run->size();
+    bytes += run->ArenaBytes();
     if (!run->empty()) {
       ++non_empty;
       last = run;
@@ -400,6 +436,7 @@ FlatKvBuffer MergeFlatRuns(std::span<const FlatKvBuffer* const> runs) {
   }
   FlatKvBuffer merged;
   merged.Reserve(total);
+  merged.ReserveBytes(bytes);
   if (non_empty == 0) return merged;
   if (non_empty == 1) {  // Single run: a straight byte copy, no compares.
     for (size_t i = 0; i < last->size(); ++i) merged.AppendFrom(*last, i);

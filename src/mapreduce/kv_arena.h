@@ -70,6 +70,11 @@ class FlatKvBuffer {
   /// Pre-sizes the slice index (one entry per expected pair). Arena chunks
   /// grow on demand; over-reservation is trimmed by ShrinkToFit().
   void Reserve(size_t pairs) { slices_.reserve(pairs); }
+  /// Pre-sizes the arena for `bytes` more key+value bytes: unless the
+  /// current chunk already has room, opens one chunk of exactly that size,
+  /// so a buffer whose payload is known up front (a sorted copy, a merge)
+  /// is one full chunk and ShrinkToFit() has nothing to trim.
+  void ReserveBytes(size_t bytes);
 
   void Append(std::string_view key, std::string_view value,
               int32_t logical_bytes);
@@ -154,12 +159,18 @@ class FlatKvBuffer {
   /// Approximate host memory footprint (arena bytes + slice index), for
   /// benchmarks and capacity accounting.
   int64_t HostBytes() const;
+  /// Key+value bytes stored, and the arena capacity holding them.
+  size_t ArenaBytes() const;
+  size_t ArenaCapacity() const;
 
  private:
-  /// 256 KiB chunks: big enough that slab overhead is noise, small enough
-  /// that a short bucket does not pin megabytes. A pair larger than the
-  /// chunk payload gets its own exactly-sized chunk.
-  static constexpr size_t kChunkSize = 256 * 1024;
+  /// Chunks grow geometrically: a buffer's first chunk is 4 KiB, and each
+  /// later one doubles, up to 256 KiB — a one-row cache payload pins a few
+  /// KiB, a big bucket's slab overhead stays noise. A pair larger than the
+  /// chunk size gets its own exactly-sized chunk. Chunks are not zeroed:
+  /// every byte read lies inside a slice that Append wrote.
+  static constexpr size_t kFirstChunkSize = 4 * 1024;
+  static constexpr size_t kMaxChunkSize = 256 * 1024;
 
   struct Chunk {
     std::unique_ptr<char[]> data;
@@ -171,6 +182,8 @@ class FlatKvBuffer {
     return chunks_[static_cast<size_t>(addr >> 32)].data.get() +
            static_cast<uint32_t>(addr);
   }
+  /// Appends an unzeroed chunk of `capacity` bytes.
+  void OpenChunk(size_t capacity);
   /// Returns the address of `n` fresh bytes, opening a chunk if needed.
   uint64_t Allocate(size_t n);
 

@@ -98,6 +98,110 @@ TEST(FlatKvBufferTest, ViewsStableAcrossAppends) {
   EXPECT_EQ(key0, "first") << "chunk storage must never relocate";
 }
 
+// Arena footprint: small buffers pin a 4 KiB first chunk, chunks double up
+// to 256 KiB, and buffers whose bytes are known up front get one exact
+// chunk.
+constexpr size_t kFirstChunk = 4 * 1024;
+constexpr size_t kMaxChunk = 256 * 1024;
+
+TEST(FlatKvBufferTest, OnePairPinsOnlyTheFirstChunk) {
+  FlatKvBuffer buf;
+  buf.Append("key", "value", 16);
+  EXPECT_LE(buf.HostBytes(),
+            static_cast<int64_t>(kFirstChunk + sizeof(KvSlice)));
+  EXPECT_EQ(buf.ArenaBytes(), 8u);
+}
+
+TEST(FlatKvBufferTest, MixedAppendsKeepCapacityWithinTwiceUsed) {
+  Random random(11);
+  FlatKvBuffer buf;
+  std::vector<KeyValue> expected;
+  size_t bytes = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    std::string key(1 + random.Uniform(8), static_cast<char>('a' + i % 26));
+    std::string value(random.Uniform(13), static_cast<char>('0' + i % 10));
+    bytes += key.size() + value.size();
+    buf.Append(key, value, 8);
+    expected.emplace_back(std::move(key), std::move(value), 8);
+  }
+  EXPECT_EQ(buf.ArenaBytes(), bytes);
+  EXPECT_LE(buf.ArenaCapacity(), 2 * bytes + kFirstChunk);
+  EXPECT_EQ(buf.ToKeyValues(), expected);
+}
+
+TEST(FlatKvBufferTest, PairLargerThanMaxChunkGetsExactChunk) {
+  FlatKvBuffer buf;
+  buf.Append("small", "pair", 8);
+  const std::string big(kMaxChunk + 1, 'x');
+  buf.Append("big", big, 4);
+  EXPECT_EQ(buf.ArenaCapacity(), kFirstChunk + 3 + big.size());
+  buf.Append("after", "big", 8);  // Growth after it stays capped.
+  EXPECT_EQ(buf.ArenaCapacity(), kFirstChunk + 3 + big.size() + kMaxChunk);
+  EXPECT_EQ(buf.value(1), big);
+  EXPECT_EQ(buf.key(2), "after");
+}
+
+TEST(FlatKvBufferTest, ViewsStableAcrossGeometricGrowth) {
+  FlatKvBuffer buf;
+  std::vector<std::string_view> keys;
+  std::vector<std::string> expected;
+  int capacity_changes = 0;
+  while (buf.ArenaBytes() < 60 * 1024) {
+    const size_t before = buf.ArenaCapacity();
+    std::string key = "key-" + std::to_string(keys.size());
+    buf.Append(key, "value-bytes", 8);
+    if (buf.ArenaCapacity() != before) ++capacity_changes;
+    keys.push_back(buf.key(buf.size() - 1));
+    expected.push_back(std::move(key));
+  }
+  // 4 + 8 + 16 + 32 + 64 KiB: five chunks hold the first 60 KiB.
+  EXPECT_EQ(capacity_changes, 5);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(keys[i], expected[i]) << "chunk storage must never relocate";
+  }
+}
+
+TEST(FlatKvBufferTest, KnownSizeBuffersGetOneExactChunk) {
+  Random random(5);
+  std::vector<KeyValue> kvs;
+  FlatKvBuffer a;
+  FlatKvBuffer b;
+  for (int i = 0; i < 3000; ++i) {
+    std::string key = "k" + std::to_string(random.Uniform(500));
+    std::string value = std::to_string(i);
+    (i % 2 == 0 ? a : b).Append(key, value, 8);
+    kvs.emplace_back(std::move(key), std::move(value), 8);
+  }
+  const FlatKvBuffer from = FlatKvBuffer::FromKeyValues(kvs);
+  EXPECT_EQ(from.ArenaCapacity(), from.ArenaBytes());
+  const FlatKvBuffer sorted_a = a.SortedCopy();
+  const FlatKvBuffer sorted_b = b.SortedCopy();
+  EXPECT_EQ(sorted_a.ArenaCapacity(), a.ArenaBytes());
+  EXPECT_EQ(sorted_b.ArenaCapacity(), b.ArenaBytes());
+  const std::vector<const FlatKvBuffer*> runs = {&sorted_a, &sorted_b};
+  const FlatKvBuffer merged = MergeFlatRuns(runs);
+  EXPECT_EQ(merged.ArenaCapacity(), a.ArenaBytes() + b.ArenaBytes());
+  EXPECT_EQ(merged.ArenaCapacity(), merged.ArenaBytes());
+  EXPECT_TRUE(merged.IsSorted());
+  EXPECT_EQ(merged.size(), kvs.size());
+}
+
+// Zero-length pairs address the chunk that was current when they were
+// appended; trimming must not drop that chunk's slot (an out-of-range chunk
+// index, caught by _GLIBCXX_ASSERTIONS builds).
+TEST(FlatKvBufferTest, ShrinkToFitKeepsZeroLengthPairsAddressable) {
+  FlatKvBuffer buf;
+  buf.Append("", "", 8);
+  buf.Append("", "", 8);
+  buf.ShrinkToFit();
+  EXPECT_EQ(buf.ArenaCapacity(), 0u);
+  ASSERT_EQ(buf.size(), 2u);
+  EXPECT_EQ(buf.key(1), "");
+  EXPECT_EQ(buf.value(1), "");
+  EXPECT_EQ(buf.ToKeyValues(),
+            (std::vector<KeyValue>{{"", "", 8}, {"", "", 8}}));
+}
+
 TEST(FlatKvBufferTest, NormalizedPrefixOrdersLikeBytes) {
   // Integer order of prefixes must equal lexicographic order of the first
   // 8 bytes, including empty keys, proper prefixes, and high bytes.

@@ -293,6 +293,8 @@ TEST_F(JobRunnerTest, ReduceOutputCachingMaterializes) {
   EXPECT_TRUE(result.caches[0].is_reduce_output);
   ASSERT_EQ(result.caches[0].payload->size(), 1u);
   EXPECT_EQ(result.caches[0].payload->value(0), "3");
+  // A cached one-row output pins a small first chunk, not a full slab.
+  EXPECT_LT(result.caches[0].payload->HostBytes(), 8 * 1024);
 }
 
 TEST_F(JobRunnerTest, ExplicitReduceTasksJoinSideInputsOnly) {
