@@ -10,6 +10,8 @@
 //     payloads, one exact reserve per append vs one reserve in total.
 //   - small-buffer arena footprint: thousands of small reduce outputs and
 //     their merges, bytes allocated vs the bytes they hold.
+//   - journal codec: serializing and parsing a 50k-event journal, time and
+//     bytes allocated per direction.
 //
 // Alongside wall time the arena benches report pairs/sec and host bytes
 // allocated, via a counting global operator new hook in this TU — the
@@ -393,6 +395,39 @@ uint64_t BuildAndMergeSmallBuffers(
   return merged_pairs;
 }
 
+/// A journal shaped like an episode's: task lifecycle, cache, DFS and
+/// scheduler events with the common system label, ints, doubles and short
+/// names (no strings that need escaping).
+void MakeSyntheticJournal(size_t events, obs::EventJournal* journal) {
+  static const char* const kTypes[] = {
+      obs::event::kTaskStart, obs::event::kTaskFinish, obs::event::kCacheAdd,
+      obs::event::kDfsRead, obs::event::kSchedAssign, obs::event::kPaneReady};
+  Random rng(1616);
+  journal->SetCommonField("system", "redoop");
+  for (size_t i = 0; i < events; ++i) {
+    const int64_t task = static_cast<int64_t>(i / 4);
+    obs::Event& e =
+        journal->Append(0.013 * static_cast<double>(i), kTypes[i % 6])
+            .With("query", "agg")
+            .With("window", task / 64)
+            .With("task", task)
+            .With("node", static_cast<int64_t>(rng.Uniform(16)));
+    switch (i % 3) {
+      case 0:
+        e.With("kind", "map").With("dur", rng.UniformDouble(0.0, 30.0));
+        break;
+      case 1:
+        e.With("name", "S0P" + std::to_string(task % 97) + "-R" +
+                           std::to_string(task % 8))
+            .With("bytes", static_cast<int64_t>(rng.Uniform(1u << 26)));
+        break;
+      default:
+        e.With("source", 0).With("pane", task % 97).With("ready", 2);
+        break;
+    }
+  }
+}
+
 struct Report {
   std::string out_path;
   std::string text;
@@ -755,6 +790,47 @@ int Main(int argc, char** argv) {
     small_buffer_target_met = alloc <= 3 * footprint;
   }
 
+  bool codec_target_met = false;
+  {
+    // Journal codec on a synthetic 50k-event journal. The bar is on bytes
+    // allocated, which are deterministic: serializing may allocate at most
+    // twice the JSONL it produces (one reserved output buffer passes;
+    // per-event and per-field temporaries do not).
+    const size_t events = 50'000;
+    obs::EventJournal journal;
+    MakeSyntheticJournal(events, &journal);
+    const std::string jsonl = journal.ToJsonl();
+    uint64_t serialize_alloc = 0, parse_alloc = 0;
+    const double serialize_s = BestOfCounted(reps, &sink, &serialize_alloc,
+                                             [&] {
+      return journal.ToJsonl().size();
+    });
+    const double parse_s = BestOfCounted(reps, &sink, &parse_alloc, [&] {
+      obs::EventJournal parsed;
+      const Status status = obs::EventJournal::Parse(jsonl, &parsed);
+      return status.ok() ? parsed.size() : 0;
+    });
+    char label[64];
+    std::snprintf(label, sizeof(label), "journal-serialize n=%zu", events);
+    report.Line("%-24s %10s %10.3f %7s %9.1f %9s %9.1f", label, "-",
+                serialize_s * 1e3, "-",
+                static_cast<double>(events) / serialize_s / 1e6, "-",
+                static_cast<double>(serialize_alloc) / 1e6);
+    std::snprintf(label, sizeof(label), "journal-parse n=%zu", events);
+    report.Line("%-24s %10s %10.3f %7s %9.1f %9s %9.1f", label, "-",
+                parse_s * 1e3, "-",
+                static_cast<double>(events) / parse_s / 1e6, "-",
+                static_cast<double>(parse_alloc) / 1e6);
+    report.Line("journal-codec %.1f MB JSONL: serialize allocates %.1f MB "
+                "(%.2fx), parse %.1f MB",
+                static_cast<double>(jsonl.size()) / 1e6,
+                static_cast<double>(serialize_alloc) / 1e6,
+                static_cast<double>(serialize_alloc) /
+                    static_cast<double>(jsonl.size()),
+                static_cast<double>(parse_alloc) / 1e6);
+    codec_target_met = serialize_alloc <= 2 * jsonl.size();
+  }
+
   bool trace_target_met = false;
   double trace_overhead = 0.0;
   {
@@ -844,6 +920,8 @@ int Main(int argc, char** argv) {
               window_assembly_target_met ? "PASS" : "FAIL");
   report.Line("arena small-buffer alloc <= 3x payload: %s",
               small_buffer_target_met ? "PASS" : "FAIL");
+  report.Line("journal serialize alloc <= 2x output: %s",
+              codec_target_met ? "PASS" : "FAIL");
   report.Line("tracing overhead <2%% on map pipeline: %s",
               trace_target_met ? "PASS"
                                : (smoke ? "FAIL (not enforced in smoke)"
@@ -862,7 +940,7 @@ int Main(int argc, char** argv) {
   if (smoke) return 0;  // Smoke runs report, full runs enforce.
   return (assembly_target_met && pipeline_target_met && radix_target_met &&
           window_assembly_target_met && small_buffer_target_met &&
-          trace_target_met)
+          codec_target_met && trace_target_met)
              ? 0
              : 2;
 }

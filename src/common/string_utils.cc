@@ -75,14 +75,19 @@ std::string HumanDuration(double seconds) {
 }
 
 std::string StringPrintf(const char* format, ...) {
+  // One pass into a stack buffer covers almost every call; only longer
+  // output pays for a second, exactly sized pass.
+  char stack[256];
   va_list args;
   va_start(args, format);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int size = std::vsnprintf(nullptr, 0, format, args);
+  const int size = std::vsnprintf(stack, sizeof(stack), format, args);
   va_end(args);
   std::string result;
-  if (size > 0) {
+  if (size > 0 && static_cast<size_t>(size) < sizeof(stack)) {
+    result.assign(stack, static_cast<size_t>(size));
+  } else if (size > 0) {
     result.resize(static_cast<size_t>(size));
     std::vsnprintf(result.data(), result.size() + 1, format, args_copy);
   }

@@ -266,25 +266,6 @@ FlatKvBuffer FlatKvBuffer::SortedCopy() const {
   return sorted;
 }
 
-void FlatKvBuffer::ShrinkToFit() {
-  slices_.shrink_to_fit();
-  if (chunks_.empty()) return;
-  // Only the last chunk can have unreferenced tail capacity; earlier
-  // chunks were closed because they could not fit the next pair.
-  Chunk& last = chunks_.back();
-  if (last.used == last.capacity) return;
-  if (last.used == 0) {
-    // Zero-length pairs may still address this chunk: keep its slot.
-    last.data.reset();
-    last.capacity = 0;
-    return;
-  }
-  auto trimmed = std::make_unique_for_overwrite<char[]>(last.used);
-  std::memcpy(trimmed.get(), last.data.get(), last.used);
-  last.data = std::move(trimmed);
-  last.capacity = last.used;
-}
-
 void FlatKvBuffer::Clear() {
   chunks_.clear();
   slices_.clear();

@@ -68,12 +68,12 @@ class FlatKvBuffer {
   FlatKvBuffer& operator=(const FlatKvBuffer&) = delete;
 
   /// Pre-sizes the slice index (one entry per expected pair). Arena chunks
-  /// grow on demand; over-reservation is trimmed by ShrinkToFit().
+  /// grow on demand.
   void Reserve(size_t pairs) { slices_.reserve(pairs); }
   /// Pre-sizes the arena for `bytes` more key+value bytes: unless the
   /// current chunk already has room, opens one chunk of exactly that size,
   /// so a buffer whose payload is known up front (a sorted copy, a merge)
-  /// is one full chunk and ShrinkToFit() has nothing to trim.
+  /// is one full chunk with no slack.
   void ReserveBytes(size_t bytes);
 
   void Append(std::string_view key, std::string_view value,
@@ -124,11 +124,6 @@ class FlatKvBuffer {
   /// laid out contiguously in output order, so downstream scans (merge,
   /// grouping) are sequential.
   FlatKvBuffer SortedCopy() const;
-
-  /// Trims slack: unreferenced tail capacity of the current chunk and the
-  /// slice index's over-reservation. Call before retaining a buffer beyond
-  /// the build (e.g. map buckets kept for the whole shuffle).
-  void ShrinkToFit();
 
   void Clear();
 

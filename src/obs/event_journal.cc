@@ -1,5 +1,10 @@
 #include "obs/event_journal.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -13,26 +18,76 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+void AppendInt(int64_t value, std::string* out) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, r.ptr);
+}
+
+/// Decimal digits of |value|, plus one for a minus sign.
+size_t IntWidth(int64_t value) {
+  static constexpr auto kPow10 = [] {
+    std::array<uint64_t, 20> p{};
+    p[0] = 1;
+    for (size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
+    return p;
+  }();
+  // v|1 has v's digit count (no power of ten above 1 is odd) and is never 0.
+  const uint64_t v = (value < 0 ? 0 - static_cast<uint64_t>(value)
+                                : static_cast<uint64_t>(value)) | 1;
+  // floor(log10(2) * bit width) is the digit count or one short of it.
+  const int guess = (std::bit_width(v) * 1233) >> 12;
+  return static_cast<size_t>(guess) + (v >= kPow10[guess] ? 1 : 0) +
+         (value < 0 ? 1 : 0);
+}
+
+/// An estimate of ToJson(e).size() for sizing a ToJsonl buffer once: exact
+/// for ints and unescaped strings, an upper bound for doubles and (below
+/// 1e18) the time. Escaped strings run over it; the buffer then grows.
+size_t JsonSizeHint(const Event& e) {
+  const double t = std::fabs(e.time());
+  size_t n = 28 + e.type().size();  // {"t":,"type":""} + %.6f's fraction.
+  n += t < 1e18 ? IntWidth(static_cast<int64_t>(t)) + 1 : 320;
+  for (const EventField& f : e.fields()) {
+    n += f.key.size() + 4;  // ,"":
+    switch (f.kind) {
+      case EventField::Kind::kString: n += f.str.size() + 2; break;
+      case EventField::Kind::kInt: n += IntWidth(f.i64); break;
+      case EventField::Kind::kDouble: n += 13; break;
     }
   }
-  return out;
+  return n;
 }
+
+}  // namespace
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  // Unescaped runs are copied in one append each.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\t': out->append("\\t"); break;
+      case '\r': out->append("\\r"); break;
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHexDigits[c >> 4],
+                           kHexDigits[c & 0xf]};
+        out->append(u, sizeof(u));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+namespace {
 
 // Span-boundary keys for atomic flight-recorder eviction. A begin event
 // and its end event map to the same key; "" means the event is not a span
@@ -68,11 +123,6 @@ std::string SpanEndKey(const Event& e) {
                         static_cast<long long>(e.IntOr("recurrence", -1)));
   }
   return std::string();
-}
-
-/// Bytes the event occupies in ToJsonl output (its line plus '\n').
-int64_t SerializedBytes(const Event& e) {
-  return static_cast<int64_t>(e.ToJson().size()) + 1;
 }
 
 }  // namespace
@@ -139,34 +189,47 @@ std::string Event::StrOr(std::string_view key,
 }
 
 std::string Event::ToJson() const {
-  std::string out = StringPrintf("{\"t\":%.6f,\"type\":\"%s\"", time_,
-                                 JsonEscape(type_).c_str());
+  std::string out;
+  AppendJson(&out);
+  return out;
+}
+
+void Event::AppendJson(std::string* out) const {
+  // %.6f for the time, via to_chars (same bytes as printf in the C locale).
+  char time_buf[328];  // %.6f of the largest double is 317 bytes.
+  const auto r = std::to_chars(time_buf, time_buf + sizeof(time_buf), time_,
+                               std::chars_format::fixed, 6);
+  out->append("{\"t\":");
+  out->append(time_buf, r.ptr);
+  out->append(",\"type\":\"");
+  AppendJsonEscaped(type_, out);
+  out->push_back('"');
   for (const auto& f : fields_) {
-    out += StringPrintf(",\"%s\":", JsonEscape(f.key).c_str());
+    out->append(",\"");
+    AppendJsonEscaped(f.key, out);
+    out->append("\":");
     switch (f.kind) {
       case EventField::Kind::kString:
-        out += StringPrintf("\"%s\"", JsonEscape(f.str).c_str());
+        out->push_back('"');
+        AppendJsonEscaped(f.str, out);
+        out->push_back('"');
         break;
       case EventField::Kind::kInt:
-        out += StringPrintf("%lld", static_cast<long long>(f.i64));
+        AppendInt(f.i64, out);
         break;
       case EventField::Kind::kDouble: {
-        std::string repr = FormatDouble(f.f64);
+        const size_t at = out->size();
+        AppendFormattedDouble(f.f64, out);
         // Keep doubles round-trippable as doubles: a bare integer repr
-        // would re-parse as an int field.
-        if (repr.find('.') == std::string::npos &&
-            repr.find('e') == std::string::npos &&
-            repr.find("inf") == std::string::npos &&
-            repr.find("nan") == std::string::npos) {
-          repr += ".0";
+        // would re-parse as an int field. ('n' covers inf and nan.)
+        if (out->find_first_of(".en", at) == std::string::npos) {
+          out->append(".0");
         }
-        out += repr;
         break;
       }
     }
   }
-  out += "}";
-  return out;
+  out->push_back('}');
 }
 
 void EventJournal::SetCommonField(std::string key, std::string value) {
@@ -219,6 +282,12 @@ void EventJournal::SetRetentionBudget(int64_t max_bytes) {
     sealed_sizes_.push_back(bytes);
     sealed_bytes_ += bytes;
   }
+}
+
+int64_t EventJournal::SerializedBytes(const Event& e) {
+  size_scratch_.clear();
+  e.AppendJson(&size_scratch_);
+  return static_cast<int64_t>(size_scratch_.size()) + 1;
 }
 
 void EventJournal::SealAndEvict() {
@@ -283,6 +352,8 @@ size_t EventJournal::CountType(std::string_view type) const {
 
 std::string EventJournal::ToJsonl() const {
   std::string out;
+  size_t hint = 0;
+  for (const auto& e : events_) hint += JsonSizeHint(e) + 1;
   if (dropped_events_ > 0) {
     // Lead a truncated journal with its marker so any consumer sees the
     // loss before the first surviving event. The timestamp is the oldest
@@ -292,11 +363,14 @@ std::string EventJournal::ToJsonl() const {
                  event::kJournalTruncated);
     marker.With("dropped_events", dropped_events_)
         .With("dropped_bytes", dropped_bytes_);
-    out += marker.ToJson();
+    out.reserve(hint + JsonSizeHint(marker) + 1);
+    marker.AppendJson(&out);
     out += '\n';
+  } else {
+    out.reserve(hint);
   }
   for (const auto& e : events_) {
-    out += e.ToJson();
+    e.AppendJson(&out);
     out += '\n';
   }
   return out;
@@ -319,8 +393,10 @@ Status EventJournal::WriteFile(const std::string& path) const {
 namespace {
 
 // Minimal scanner for the journal's own output format: one flat JSON
-// object per line, keys and string values with the escapes JsonEscape
-// emits, numbers as printf renders them.
+// object per line, keys and string values with the escapes
+// AppendJsonEscaped emits, numbers as the serializer renders them. Keys,
+// strings and numbers are scanned as views into the line; a string is
+// decoded into a scratch buffer only when it holds a backslash.
 class LineParser {
  public:
   LineParser(std::string_view line, size_t line_number)
@@ -328,35 +404,41 @@ class LineParser {
 
   Status Run(EventJournal* out) {
     if (!Consume('{')) return Error("expected '{'");
-    double time = 0.0;
-    std::string key;
-    if (!ParseString(&key) || key != "t" || !Consume(':')) {
+    std::string_view key;
+    if (!ParseString(&key, &key_scratch_) || key != "t" || !Consume(':')) {
       return Error("expected \"t\" field first");
     }
-    std::string number;
+    std::string_view number;
     bool is_double = false;
     if (!ParseNumber(&number, &is_double)) return Error("bad time");
-    time = std::strtod(number.c_str(), nullptr);
+    const double time = ToDouble(number);
     if (!Consume(',')) return Error("expected ','");
-    if (!ParseString(&key) || key != "type" || !Consume(':')) {
+    if (!ParseString(&key, &key_scratch_) || key != "type" || !Consume(':')) {
       return Error("expected \"type\" field second");
     }
-    std::string type;
-    if (!ParseString(&type)) return Error("bad type");
-    Event& e = out->Append(time, std::move(type));
+    std::string_view type;
+    if (!ParseString(&type, &value_scratch_)) return Error("bad type");
+    Event& e = out->Append(time, std::string(type));
+    // Every remaining field follows a comma (commas inside strings only
+    // over-reserve), so the field list is sized once instead of doubling.
+    e.ReserveFields(static_cast<size_t>(
+        std::count(s_.begin() + static_cast<ptrdiff_t>(pos_), s_.end(), ',')));
     while (Consume(',')) {
-      if (!ParseString(&key) || !Consume(':')) return Error("bad field key");
+      if (!ParseString(&key, &key_scratch_) || !Consume(':')) {
+        return Error("bad field key");
+      }
       if (Peek() == '"') {
-        std::string value;
-        if (!ParseString(&value)) return Error("bad string value");
+        std::string_view value;
+        if (!ParseString(&value, &value_scratch_)) {
+          return Error("bad string value");
+        }
         e.With(key, value);
       } else {
         if (!ParseNumber(&number, &is_double)) return Error("bad number");
         if (is_double) {
-          e.With(key, std::strtod(number.c_str(), nullptr));
+          e.With(key, ToDouble(number));
         } else {
-          e.With(key, static_cast<int64_t>(
-                          std::strtoll(number.c_str(), nullptr, 10)));
+          e.With(key, ToInt(number));
         }
       }
     }
@@ -374,37 +456,52 @@ class LineParser {
     return true;
   }
 
-  bool ParseString(std::string* out) {
+  /// Sets `*out` to the string's contents: a view into the line, or into
+  /// `*scratch` when escapes had to be decoded.
+  bool ParseString(std::string_view* out, std::string* scratch) {
     if (!Consume('"')) return false;
-    out->clear();
+    const size_t start = pos_;
+    while (pos_ < s_.size() && s_[pos_] != '"' && s_[pos_] != '\\') ++pos_;
+    if (pos_ == s_.size()) return false;
+    if (s_[pos_] == '"') {
+      *out = s_.substr(start, pos_ - start);
+      ++pos_;
+      return true;
+    }
+    scratch->assign(s_.substr(start, pos_ - start));
     while (pos_ < s_.size() && s_[pos_] != '"') {
       char c = s_[pos_++];
       if (c == '\\' && pos_ < s_.size()) {
         char esc = s_[pos_++];
         switch (esc) {
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
+          case 'n': scratch->push_back('\n'); break;
+          case 't': scratch->push_back('\t'); break;
+          case 'r': scratch->push_back('\r'); break;
           case 'u': {
             if (pos_ + 4 > s_.size()) return false;
-            const std::string hex(s_.substr(pos_, 4));
+            // strtol keeps the historical reading of odd digits ("0x1f",
+            // " -01"); the serializer only writes \u00xx.
+            char hex[5] = {s_[pos_], s_[pos_ + 1], s_[pos_ + 2], s_[pos_ + 3],
+                           '\0'};
             pos_ += 4;
-            out->push_back(static_cast<char>(
-                std::strtol(hex.c_str(), nullptr, 16)));
+            scratch->push_back(
+                static_cast<char>(std::strtol(hex, nullptr, 16)));
             break;
           }
-          default: out->push_back(esc);
+          default: scratch->push_back(esc);
         }
       } else {
-        out->push_back(c);
+        scratch->push_back(c);
       }
     }
-    return Consume('"');
+    if (!Consume('"')) return false;
+    *out = *scratch;
+    return true;
   }
 
-  bool ParseNumber(std::string* out, bool* is_double) {
-    out->clear();
+  bool ParseNumber(std::string_view* out, bool* is_double) {
     *is_double = false;
+    const size_t start = pos_;
     while (pos_ < s_.size()) {
       char c = s_[pos_];
       if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
@@ -413,13 +510,38 @@ class LineParser {
         if (c == '.' || c == 'e' || c == 'E' || c == 'i' || c == 'n') {
           *is_double = true;
         }
-        out->push_back(c);
         ++pos_;
       } else {
         break;
       }
     }
+    *out = s_.substr(start, pos_ - start);
     return !out->empty();
+  }
+
+  // Numbers convert with from_chars. A token it rejects or only partly
+  // reads (a leading '+', "1e", an out-of-range value) falls back to
+  // strtod/strtoll on a NUL-terminated copy, so every token the scanner
+  // accepts reads as strtod/strtoll read it.
+  static double ToDouble(std::string_view token) {
+    double value = 0.0;
+    const auto r =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (r.ec == std::errc() && r.ptr == token.data() + token.size()) {
+      return value;
+    }
+    return std::strtod(std::string(token).c_str(), nullptr);
+  }
+
+  static int64_t ToInt(std::string_view token) {
+    int64_t value = 0;
+    const auto r =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (r.ec == std::errc() && r.ptr == token.data() + token.size()) {
+      return value;
+    }
+    return static_cast<int64_t>(
+        std::strtoll(std::string(token).c_str(), nullptr, 10));
   }
 
   Status Error(const char* what) const {
@@ -431,6 +553,8 @@ class LineParser {
   std::string_view s_;
   size_t line_number_ = 0;
   size_t pos_ = 0;
+  std::string key_scratch_;
+  std::string value_scratch_;
 };
 
 }  // namespace

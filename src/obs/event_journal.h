@@ -55,6 +55,9 @@ class Event {
     return WithInt(key, static_cast<int64_t>(value));
   }
 
+  /// Pre-sizes the field list, for a caller that knows the count.
+  void ReserveFields(size_t n) { fields_.reserve(n); }
+
   double time() const { return time_; }
   const std::string& type() const { return type_; }
   const std::vector<EventField>& fields() const { return fields_; }
@@ -68,6 +71,8 @@ class Event {
   /// One JSON object, no trailing newline. Doubles are printed with %.6f
   /// (time) / %.6g (fields); both are stable under parse → re-serialize.
   std::string ToJson() const;
+  /// ToJson(), appended to `out` (no temporaries; the serializer's core).
+  void AppendJson(std::string* out) const;
 
  private:
   Event& WithInt(std::string_view key, int64_t value);
@@ -76,6 +81,13 @@ class Event {
   std::string type_;
   std::vector<EventField> fields_;
 };
+
+/// Appends `s` to `out` as the inside of a JSON string: `"` and `\` are
+/// backslash-escaped, \n \t \r use their short escapes, other bytes below
+/// 0x20 become \u00xx (lowercase hex), and every other byte (0x7f and
+/// bytes >= 0x80 included) is copied as is. Shared by the journal and the
+/// metrics exporters.
+void AppendJsonEscaped(std::string_view s, std::string* out);
 
 /// Append-only journal of Events, exported as JSONL. Determinism comes
 /// from append order plus fixed-format serialization.
@@ -187,6 +199,9 @@ class EventJournal {
   /// complete once the next Append or a serialization happens) and evicts
   /// from the front while over budget.
   void SealAndEvict();
+  /// Bytes `e` occupies in ToJsonl output (its line plus '\n'), measured
+  /// by serializing into size_scratch_.
+  int64_t SerializedBytes(const Event& e);
 
   std::deque<Event> events_;
   std::vector<std::pair<std::string, std::string>> common_fields_;
@@ -205,6 +220,8 @@ class EventJournal {
   std::set<std::string> pending_orphan_ends_;
   /// Writer pin for the single-writer assertion; default id = unpinned.
   std::thread::id writer_;
+  /// Reused serialization buffer for SerializedBytes.
+  std::string size_scratch_;
 };
 
 /// Event type names. Keeping them in one place documents the schema and

@@ -1,17 +1,30 @@
 #include "obs/metric_registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/string_utils.h"
+#include "obs/event_journal.h"
 
 namespace redoop {
 namespace obs {
 
+void AppendFormattedDouble(double value, std::string* out) {
+  if (value == 0.0) {  // Collapses -0 as well.
+    out->push_back('0');
+    return;
+  }
+  char buf[32];  // The longest %.6g rendering is 13 bytes (-1.23457e-308).
+  const auto r = std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::general, 6);
+  out->append(buf, r.ptr);
+}
+
 std::string FormatDouble(double value) {
-  if (value == 0.0) return "0";  // Collapses -0 as well.
-  std::string s = StringPrintf("%.6g", value);
+  std::string s;
+  AppendFormattedDouble(value, &s);
   return s;
 }
 
@@ -191,61 +204,39 @@ std::string MetricsSnapshot::ToText() const {
   return out;
 }
 
-namespace {
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += StringPrintf("%s\n    \"%s\": %lld", first ? "" : ",",
-                        JsonEscape(name).c_str(),
-                        static_cast<long long>(value));
+  // Opens one `"name": ` member of the current object.
+  const auto member = [&out, &first](const std::string& name) {
+    out += first ? "\n    \"" : ",\n    \"";
+    AppendJsonEscaped(name, &out);
+    out += "\": ";
     first = false;
+  };
+  for (const auto& [name, value] : counters) {
+    member(name);
+    out += std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
-    out += StringPrintf("%s\n    \"%s\": %s", first ? "" : ",",
-                        JsonEscape(name).c_str(), FormatDouble(value).c_str());
-    first = false;
+    member(name);
+    AppendFormattedDouble(value, &out);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
+    member(name);
     out += StringPrintf(
-        "%s\n    \"%s\": {\"count\": %lld, \"sum\": %s, \"min\": %s, "
-        "\"max\": %s, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s}",
-        first ? "" : ",", JsonEscape(name).c_str(),
+        "{\"count\": %lld, \"sum\": %s, \"min\": %s, \"max\": %s, "
+        "\"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s}",
         static_cast<long long>(h.count), FormatDouble(h.sum).c_str(),
         FormatDouble(h.min).c_str(), FormatDouble(h.max).c_str(),
         FormatDouble(h.Mean()).c_str(), FormatDouble(h.P50()).c_str(),
         FormatDouble(h.P95()).c_str(), FormatDouble(h.P99()).c_str());
-    first = false;
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;

@@ -299,8 +299,11 @@ class MetricRegistry {
 
 /// Deterministic double formatting shared by all obs exporters: %.6g for
 /// general values, with "-0" normalized to "0" so snapshots never differ
-/// by sign of zero.
+/// by sign of zero. Rendered with std::to_chars, which prints the same
+/// bytes as printf's %.6g in the C locale.
 std::string FormatDouble(double value);
+/// FormatDouble(value), appended to `out` without a temporary string.
+void AppendFormattedDouble(double value, std::string* out);
 
 }  // namespace obs
 }  // namespace redoop

@@ -86,6 +86,9 @@ class Builder {
   explicit Builder(Trace* out) : out_(out) {}
 
   void Consume(const EventJournal& journal) {
+    // Most span-model events open one span; sizing for one per event
+    // spares the vector's growth moves.
+    out_->spans.reserve(journal.size());
     size_t index = 0;
     for (const Event& e : journal.events()) {
       HandleEvent(e, index++);
@@ -93,17 +96,33 @@ class Builder {
   }
 
  private:
+  /// A string field's value, "" when absent or not a string (StrOr's
+  /// reading, without the copy).
+  static std::string_view StrField(const Event& e, std::string_view key) {
+    const EventField* f = e.Find(key);
+    if (f == nullptr || f->kind != EventField::Kind::kString) return {};
+    return f->str;
+  }
+
   GroupState& GroupFor(const Event& e) {
-    const std::string system = e.StrOr("system", "");
-    const std::string query = e.StrOr("query", "");
-    const std::string key = system + '\n' + query;
+    const std::string_view system = StrField(e, "system");
+    const std::string_view query = StrField(e, "query");
+    // Runs of events share one (system, query): reuse the last group.
+    if (last_group_ != nullptr && last_group_->system == system &&
+        last_group_->query == query) {
+      return *last_group_;
+    }
+    std::string key(system);
+    key += '\n';
+    key.append(query);
     auto it = groups_.find(key);
     if (it == groups_.end()) {
-      it = groups_.emplace(key, GroupState()).first;
-      it->second.system = system;
-      it->second.query = query;
+      it = groups_.emplace(std::move(key), GroupState()).first;
+      it->second.system = std::string(system);
+      it->second.query = std::string(query);
       it->second.trace = TraceIdFor(system, query);
     }
+    last_group_ = &it->second;
     return it->second;
   }
 
@@ -137,21 +156,27 @@ class Builder {
         what, got.c_str(), want.c_str()));
   }
 
+  /// True iff `stamp` is the IdHex rendering of `id`.
+  static bool StampIs(std::string_view stamp, SpanId id) {
+    SpanId parsed = 0;
+    return ParseIdHex(stamp, &parsed) && parsed == id;
+  }
+
   /// Cross-checks the stamped propagation fields against the derived IDs.
+  /// Ids are compared as numbers; hex is rendered only for a mismatch.
   void ValidateStamps(const GroupState& g, const Event& e, size_t index) {
     const EventField* trace_field = e.Find("trace");
-    if (trace_field != nullptr) {
-      const std::string want = IdHex(g.trace);
-      if (trace_field->str != want) {
-        Mismatch(index, e, "trace", trace_field->str, want);
-      }
+    if (trace_field != nullptr && !StampIs(trace_field->str, g.trace)) {
+      Mismatch(index, e, "trace", trace_field->str, IdHex(g.trace));
     }
     const EventField* pspan = e.Find("pspan");
     if (pspan != nullptr) {
       const int64_t w = e.IntOr("window", -1);
       if (w >= 0) {
-        const std::string want = IdHex(WindowSpanId(g.trace, w));
-        if (pspan->str != want) Mismatch(index, e, "pspan", pspan->str, want);
+        const SpanId want = WindowSpanId(g.trace, w);
+        if (!StampIs(pspan->str, want)) {
+          Mismatch(index, e, "pspan", pspan->str, IdHex(want));
+        }
       }
     }
     const EventField* ctx_field = e.Find("ctx");
@@ -530,6 +555,7 @@ class Builder {
 
   Trace* out_;
   std::map<std::string, GroupState> groups_;
+  GroupState* last_group_ = nullptr;  ///< GroupFor's last answer.
   std::map<std::string, SystemFailures> failures_;
 };
 

@@ -1,8 +1,7 @@
 #include "obs/trace/trace_context.h"
 
+#include <charconv>
 #include <cstdlib>
-
-#include "common/string_utils.h"
 
 namespace redoop {
 namespace obs {
@@ -12,87 +11,118 @@ namespace {
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr const char* kTokenPrefix = "redoop-trace/";
-}  // namespace
+constexpr char kHexDigits[] = "0123456789abcdef";
 
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = kFnvOffset;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
+void WriteIdHex(SpanId id, char* out) {
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kHexDigits[id & 0xf];
+    id >>= 4;
   }
-  return h;
 }
 
+/// FNV-1a fed piece by piece: hashing a canonical string's pieces in order
+/// equals hashing the string itself.
+class CanonicalHash {
+ public:
+  CanonicalHash& Text(std::string_view s) {
+    for (char c : s) {
+      h_ ^= static_cast<uint8_t>(c);
+      h_ *= kFnvPrime;
+    }
+    return *this;
+  }
+  /// A %.*s piece: the text up to its first NUL byte.
+  CanonicalHash& PrintfText(std::string_view s) {
+    return Text(s.substr(0, s.find('\0')));
+  }
+  CanonicalHash& Hex(SpanId id) {
+    char hex[16];
+    WriteIdHex(id, hex);
+    return Text(std::string_view(hex, sizeof(hex)));
+  }
+  CanonicalHash& Dec(int64_t value) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), value);
+    return Text(std::string_view(buf, static_cast<size_t>(r.ptr - buf)));
+  }
+  uint64_t hash() const { return h_; }
+  SpanId Id() const { return h_ != 0 ? h_ : kFnvOffset; }
+
+ private:
+  uint64_t h_ = kFnvOffset;
+};
+
+}  // namespace
+
+uint64_t Fnv1a64(std::string_view s) { return CanonicalHash().Text(s).hash(); }
+
 SpanId DeriveId(std::string_view canonical) {
-  const uint64_t h = Fnv1a64(canonical);
-  return h != 0 ? h : kFnvOffset;
+  return CanonicalHash().Text(canonical).Id();
 }
 
 std::string IdHex(SpanId id) {
-  return StringPrintf("%016llx", static_cast<unsigned long long>(id));
+  std::string out(16, '0');
+  WriteIdHex(id, out.data());
+  return out;
 }
 
 SpanId TraceIdFor(std::string_view system, std::string_view query) {
-  std::string canonical = "trace:";
-  canonical.append(system);
-  canonical += '/';
-  canonical.append(query);
-  return DeriveId(canonical);
+  return CanonicalHash().Text("trace:").Text(system).Text("/").Text(query).Id();
 }
 
 SpanId WindowSpanId(SpanId trace, int64_t recurrence) {
-  return DeriveId(StringPrintf("window:%s:%lld", IdHex(trace).c_str(),
-                               static_cast<long long>(recurrence)));
+  return CanonicalHash().Text("window:").Hex(trace).Text(":")
+      .Dec(recurrence).Id();
 }
 
 SpanId PhaseSpanId(SpanId window_span, std::string_view job,
                    int64_t occurrence, std::string_view kind) {
-  return DeriveId(StringPrintf(
-      "phase:%s:%.*s#%lld:%.*s", IdHex(window_span).c_str(),
-      static_cast<int>(job.size()), job.data(),
-      static_cast<long long>(occurrence), static_cast<int>(kind.size()),
-      kind.data()));
+  return CanonicalHash().Text("phase:").Hex(window_span).Text(":")
+      .PrintfText(job).Text("#").Dec(occurrence).Text(":")
+      .PrintfText(kind).Id();
 }
 
 SpanId TaskSpanId(SpanId trace, int64_t task, int64_t attempt) {
-  return DeriveId(StringPrintf("task:%s:%lld:%lld", IdHex(trace).c_str(),
-                               static_cast<long long>(task),
-                               static_cast<long long>(attempt)));
+  return CanonicalHash().Text("task:").Hex(trace).Text(":").Dec(task)
+      .Text(":").Dec(attempt).Id();
 }
 
 SpanId CacheOpSpanId(SpanId trace, std::string_view event_type,
                      std::string_view key, int64_t occurrence) {
-  return DeriveId(StringPrintf(
-      "cacheop:%s:%.*s:%.*s#%lld", IdHex(trace).c_str(),
-      static_cast<int>(event_type.size()), event_type.data(),
-      static_cast<int>(key.size()), key.data(),
-      static_cast<long long>(occurrence)));
+  return CanonicalHash().Text("cacheop:").Hex(trace).Text(":")
+      .PrintfText(event_type).Text(":").PrintfText(key).Text("#")
+      .Dec(occurrence).Id();
 }
 
 SpanId PaneSpanId(SpanId trace, int64_t source, int64_t pane,
                   int64_t built_window) {
-  return DeriveId(StringPrintf("pane:%s:S%lld:P%lld:W%lld",
-                               IdHex(trace).c_str(),
-                               static_cast<long long>(source),
-                               static_cast<long long>(pane),
-                               static_cast<long long>(built_window)));
+  return CanonicalHash().Text("pane:").Hex(trace).Text(":S").Dec(source)
+      .Text(":P").Dec(pane).Text(":W").Dec(built_window).Id();
 }
 
 SpanId FailureSpanId(SpanId trace, int64_t node, int64_t occurrence) {
-  return DeriveId(StringPrintf("failure:%s:N%lld#%lld", IdHex(trace).c_str(),
-                               static_cast<long long>(node),
-                               static_cast<long long>(occurrence)));
+  return CanonicalHash().Text("failure:").Hex(trace).Text(":N").Dec(node)
+      .Text("#").Dec(occurrence).Id();
 }
 
 std::string TraceContext::Serialize() const {
-  return StringPrintf("%s%s/%s/%lld/%c", kTokenPrefix,
-                      IdHex(trace_id).c_str(), IdHex(span_id).c_str(),
-                      static_cast<long long>(window), sampled ? 's' : 'u');
+  char ids[33];  // <trace16>/<span16>
+  WriteIdHex(trace_id, ids);
+  ids[16] = '/';
+  WriteIdHex(span_id, ids + 17);
+  char window_buf[24];
+  const auto r =
+      std::to_chars(window_buf, window_buf + sizeof(window_buf), window);
+  std::string out(kTokenPrefix);
+  out.append(ids, sizeof(ids));
+  out.push_back('/');
+  out.append(window_buf, r.ptr);
+  out.push_back('/');
+  out.push_back(sampled ? 's' : 'u');
+  return out;
 }
 
-namespace {
-
-bool ParseHex16(std::string_view s, uint64_t* out) {
+bool ParseIdHex(std::string_view s, SpanId* out) {
   if (s.size() != 16) return false;
   uint64_t v = 0;
   for (char c : s) {
@@ -109,8 +139,6 @@ bool ParseHex16(std::string_view s, uint64_t* out) {
   return true;
 }
 
-}  // namespace
-
 bool TraceContext::Parse(std::string_view token, TraceContext* out) {
   const std::string_view prefix(kTokenPrefix);
   if (token.substr(0, prefix.size()) != prefix) return false;
@@ -124,8 +152,8 @@ bool TraceContext::Parse(std::string_view token, TraceContext* out) {
   if (slash3 == std::string_view::npos) return false;
 
   TraceContext parsed;
-  if (!ParseHex16(token.substr(0, slash1), &parsed.trace_id)) return false;
-  if (!ParseHex16(token.substr(slash1 + 1, slash2 - slash1 - 1),
+  if (!ParseIdHex(token.substr(0, slash1), &parsed.trace_id)) return false;
+  if (!ParseIdHex(token.substr(slash1 + 1, slash2 - slash1 - 1),
                   &parsed.span_id)) {
     return false;
   }

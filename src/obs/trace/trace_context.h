@@ -33,6 +33,8 @@ SpanId DeriveId(std::string_view canonical);
 
 /// 16 lowercase hex chars, the wire/JSON rendering of an id.
 std::string IdHex(SpanId id);
+/// The inverse of IdHex: true iff `hex` is exactly 16 lowercase hex chars.
+bool ParseIdHex(std::string_view hex, SpanId* out);
 
 // --- The ID scheme (DESIGN §14) -------------------------------------------
 // trace  = H("trace:<system>/<query>")
@@ -46,6 +48,11 @@ std::string IdHex(SpanId id);
 // Occurrence counters disambiguate repeats (a job name rerun within a
 // window, a cache re-added after a rebuild, a node failing twice); they
 // count occurrences in journal order, which is itself deterministic.
+//
+// Numbers are plain decimals and <job>, <map|reduce>, <event type> and
+// <key> end at their first NUL byte (the printf %.*s reading the scheme
+// was defined with). FNV-1a is incremental, so the functions below feed
+// these pieces straight into the hash; no canonical string is built.
 
 SpanId TraceIdFor(std::string_view system, std::string_view query);
 SpanId WindowSpanId(SpanId trace, int64_t recurrence);

@@ -55,7 +55,6 @@ TEST(FlatKvBufferTest, RepeatedAppendsGrowGeometrically) {
     const std::string key = "client-" + std::to_string(i % 97);
     const std::string value = std::to_string(i);
     buffers[i].Append(key, value, 20 + i % 5);
-    buffers[i].ShrinkToFit();  // Drop the mostly unused first chunk.
     expected.emplace_back(key, value, 20 + i % 5);
   }
   std::vector<KeyValue> out;
@@ -186,22 +185,6 @@ TEST(FlatKvBufferTest, KnownSizeBuffersGetOneExactChunk) {
   EXPECT_EQ(merged.size(), kvs.size());
 }
 
-// Zero-length pairs address the chunk that was current when they were
-// appended; trimming must not drop that chunk's slot (an out-of-range chunk
-// index, caught by _GLIBCXX_ASSERTIONS builds).
-TEST(FlatKvBufferTest, ShrinkToFitKeepsZeroLengthPairsAddressable) {
-  FlatKvBuffer buf;
-  buf.Append("", "", 8);
-  buf.Append("", "", 8);
-  buf.ShrinkToFit();
-  EXPECT_EQ(buf.ArenaCapacity(), 0u);
-  ASSERT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.key(1), "");
-  EXPECT_EQ(buf.value(1), "");
-  EXPECT_EQ(buf.ToKeyValues(),
-            (std::vector<KeyValue>{{"", "", 8}, {"", "", 8}}));
-}
-
 TEST(FlatKvBufferTest, NormalizedPrefixOrdersLikeBytes) {
   // Integer order of prefixes must equal lexicographic order of the first
   // 8 bytes, including empty keys, proper prefixes, and high bytes.
@@ -244,18 +227,6 @@ TEST(FlatKvBufferTest, SortedOrderMatchesKeyValueLess) {
   EXPECT_TRUE(sorted.IsSorted());
   EXPECT_EQ(sorted.ToKeyValues(), kvs)
       << "prefix sort must equal stable (key, value) sort";
-}
-
-TEST(FlatKvBufferTest, ShrinkToFitPreservesContents) {
-  FlatKvBuffer buf;
-  buf.Reserve(1000);
-  buf.Append("k1", "v1", 8);
-  buf.Append("k2", "v2", 8);
-  const int64_t before = buf.HostBytes();
-  buf.ShrinkToFit();
-  EXPECT_LT(buf.HostBytes(), before);
-  EXPECT_EQ(buf.key(0), "k1");
-  EXPECT_EQ(buf.value(1), "v2");
 }
 
 TEST(MergeFlatRunsTest, MergesSortedRunsStably) {

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
+#include "common/string_utils.h"
 #include "core/redoop_driver.h"
 #include "obs/event_journal.h"
 #include "obs/metric_registry.h"
@@ -431,6 +436,222 @@ TEST(EventJournalTest, CountType) {
   EXPECT_EQ(journal.CountType("a"), 2u);
   EXPECT_EQ(journal.CountType("b"), 1u);
   EXPECT_EQ(journal.CountType("c"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Journal codec equivalence: the to_chars serializer against the printf
+// formatting it replaced, kept here as the oracle.
+// ---------------------------------------------------------------------------
+
+std::string PrintfJsonEscape(std::string_view s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StringPrintf("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string PrintfFormatDouble(double value) {
+  if (value == 0.0) return "0";
+  return StringPrintf("%.6g", value);
+}
+
+std::string PrintfEventJson(const obs::Event& e) {
+  std::string out = StringPrintf("{\"t\":%.6f,\"type\":\"%s\"", e.time(),
+                                 PrintfJsonEscape(e.type()).c_str());
+  for (const auto& f : e.fields()) {
+    out += StringPrintf(",\"%s\":", PrintfJsonEscape(f.key).c_str());
+    switch (f.kind) {
+      case obs::EventField::Kind::kString:
+        out += StringPrintf("\"%s\"", PrintfJsonEscape(f.str).c_str());
+        break;
+      case obs::EventField::Kind::kInt:
+        out += StringPrintf("%lld", static_cast<long long>(f.i64));
+        break;
+      case obs::EventField::Kind::kDouble: {
+        std::string repr = PrintfFormatDouble(f.f64);
+        if (repr.find('.') == std::string::npos &&
+            repr.find('e') == std::string::npos &&
+            repr.find("inf") == std::string::npos &&
+            repr.find("nan") == std::string::npos) {
+          repr += ".0";
+        }
+        out += repr;
+        break;
+      }
+    }
+  }
+  out += "}";
+  return out;
+}
+
+std::vector<double> CodecDoubles() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {0.0,     -0.0,    1e-7,   0.1,    123456.5, 1e21,
+          4.9e-324, 2.2e-310, inf,   -inf,   nan,      -nan,
+          1.0,     -4.0,    999999.5, 1e308, -1.7976931348623157e308,
+          0.000123456789, 2.5, 1e16};
+}
+
+TEST(JournalCodecTest, DoublesMatchPrintfOracle) {
+  std::vector<double> values = CodecDoubles();
+  Random random(16);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = random.NextUint64();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    values.push_back(std::ldexp(static_cast<double>(random.Uniform(1u << 30)),
+                                static_cast<int>(random.Uniform(80)) - 60));
+  }
+  for (const double v : values) {
+    // As the event time (%.6f) and as a field (%.6g plus the .0 rule).
+    obs::Event e(v, "codec");
+    e.With("x", v);
+    std::string appended = "prefix:";
+    e.AppendJson(&appended);
+    EXPECT_EQ(appended, "prefix:" + PrintfEventJson(e)) << v;
+    EXPECT_EQ(e.ToJson(), PrintfEventJson(e)) << v;
+    EXPECT_EQ(obs::FormatDouble(v), PrintfFormatDouble(v)) << v;
+  }
+}
+
+TEST(JournalCodecTest, IntsAndStringsMatchPrintfOracle) {
+  obs::Event e(1.5, "type\"with\\escapes\n");
+  e.With("min", std::numeric_limits<int64_t>::min())
+      .With("max", std::numeric_limits<int64_t>::max())
+      .With("zero", 0)
+      .With("neg", -42)
+      .With("quote\"key", "a\"b\\c\nd\te\rf")
+      .With("controls", std::string("\x01\x1f\x7f\x80\xff\0z", 7))
+      .With("", "");
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
+  e.With("bytes", every_byte);
+  EXPECT_EQ(e.ToJson(), PrintfEventJson(e));
+
+  // The shared escaper alone, appended to existing text.
+  std::string out = "x";
+  obs::AppendJsonEscaped(every_byte, &out);
+  EXPECT_EQ(out, "x" + PrintfJsonEscape(every_byte));
+}
+
+TEST(JournalCodecTest, ParseReserializesByteIdentically) {
+  obs::EventJournal journal;
+  journal.SetCommonField("system", "codec");
+  for (const double v : CodecDoubles()) {
+    journal.Append(std::isfinite(v) ? v : 0.0, "double").With("x", v);
+  }
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
+  journal.Append(2.0, "strings")
+      .With("bytes", every_byte)
+      .With("esc\\key", "\"")
+      .With("min", std::numeric_limits<int64_t>::min())
+      .With("max", std::numeric_limits<int64_t>::max());
+  const std::string jsonl = journal.ToJsonl();
+  std::string oracle;
+  for (const obs::Event& e : journal.events()) {
+    oracle += PrintfEventJson(e) + "\n";
+  }
+  EXPECT_EQ(jsonl, oracle);
+
+  obs::EventJournal parsed;
+  ASSERT_TRUE(obs::EventJournal::Parse(jsonl, &parsed).ok());
+  EXPECT_EQ(parsed.ToJsonl(), jsonl);
+  const obs::Event& strings = parsed.events().back();
+  EXPECT_EQ(strings.StrOr("bytes", ""), every_byte);
+  EXPECT_EQ(strings.IntOr("min", 0), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(strings.IntOr("max", 0), std::numeric_limits<int64_t>::max());
+}
+
+// Tokens the parser reads with strtod/strtoll semantics where from_chars
+// alone would reject or cut them short.
+TEST(JournalCodecTest, ParserKeepsLegacyNumberReadings) {
+  obs::EventJournal out;
+  ASSERT_TRUE(obs::EventJournal::Parse(
+                  "{\"t\":+1.5,\"type\":\"n\",\"plus\":+7,\"tail\":12a,"
+                  "\"big\":99999999999999999999,\"huge\":1e400,"
+                  "\"cut\":1e,\"dash\":-,\"unicode\":\"\\u0x41\"}",
+                  &out)
+                  .ok());
+  const obs::Event& e = out.events()[0];
+  EXPECT_EQ(e.time(), 1.5);
+  EXPECT_EQ(e.IntOr("plus", 0), 7);
+  EXPECT_EQ(e.IntOr("tail", 0), 12);
+  EXPECT_EQ(e.IntOr("big", 0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(e.DoubleOr("huge", 0.0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(e.DoubleOr("cut", 0.0), 1.0);
+  EXPECT_EQ(e.IntOr("dash", 1), 0);
+  EXPECT_EQ(e.StrOr("unicode", ""), "A");
+}
+
+// Seeded mutations of a real-shaped journal: byte flips, truncations and
+// inserted quote/backslash/\u sequences. Every mutant parses OK or fails
+// with an InvalidArgument naming its line; an accepted mutant
+// re-serializes to a fixed point. Run under ASan in CI.
+TEST(JournalCodecTest, MutatedJournalsParseOrFailWithALine) {
+  obs::EventJournal journal;
+  journal.SetCommonField("system", "redoop");
+  for (int i = 0; i < 300; ++i) {
+    obs::Event& e = journal.Append(0.25 * i, i % 3 == 0
+                                                 ? obs::event::kTaskFinish
+                                                 : obs::event::kCacheAdd);
+    e.With("query", "q" + std::to_string(i % 4))
+        .With("task", i - 17)
+        .With("dur", 1.0 / (i + 1))
+        .With("name", i % 7 == 0 ? "quote\"back\\slash\n" : "S1P3");
+  }
+  const std::string jsonl = journal.ToJsonl();
+  const char* inserts[] = {"\"", "\\", "\\u", "\\u00", "\\u12", "\\u0041",
+                           "\\\"", ":", ",", "}", "{", "\n"};
+  Random random(2016);
+  int accepted = 0;
+  for (int m = 0; m < 2000; ++m) {
+    std::string mutant = jsonl;
+    const size_t at = random.Uniform(mutant.size());
+    switch (m % 3) {
+      case 0:
+        mutant[at] = static_cast<char>(mutant[at] ^
+                                       (1 << random.Uniform(8)));
+        break;
+      case 1:
+        mutant.resize(at);
+        break;
+      default:
+        mutant.insert(at, inserts[random.Uniform(std::size(inserts))]);
+        break;
+    }
+    obs::EventJournal parsed;
+    const Status status = obs::EventJournal::Parse(mutant, &parsed);
+    if (status.ok()) {
+      ++accepted;
+      const std::string once = parsed.ToJsonl();
+      obs::EventJournal again;
+      ASSERT_TRUE(obs::EventJournal::Parse(once, &again).ok()) << mutant;
+      EXPECT_EQ(again.ToJsonl(), once);
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("at line "), std::string::npos)
+          << status.message();
+      EXPECT_TRUE(parsed.empty());
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 2000);
 }
 
 TEST(ObservabilityContextTest, TimeSourceStampsEmittedEvents) {

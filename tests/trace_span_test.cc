@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "common/string_utils.h"
 #include "core/redoop_driver.h"
 #include "obs/event_journal.h"
 #include "obs/trace/span_builder.h"
@@ -77,6 +79,76 @@ TEST(TraceContextTest, ParseRejectsMalformedTokens) {
       "redoop-trace/0123456789abcdef/fedcba9876543210/3/u", &out));
   EXPECT_EQ(out.window, 3);
   EXPECT_FALSE(out.sampled);
+}
+
+// The streamed id derivation against the canonical strings the scheme was
+// defined with, rendered by printf as the oracle.
+TEST(TraceContextTest, StreamedIdsMatchPrintfCanonicalStrings) {
+  using obs::trace::DeriveId;
+  const auto hex = [](uint64_t id) {
+    return StringPrintf("%016llx", static_cast<unsigned long long>(id));
+  };
+  const int64_t ints[] = {0,  1,  -1, 7, -42, 1000000007,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()};
+  const uint64_t parents[] = {0, 1, 0xcbf29ce484222325ull,
+                              0xffffffffffffffffull,
+                              obs::trace::TraceIdFor("redoop", "agg")};
+  const std::string texts[] = {"", "agg-job", "a:b#c", "map",
+                               std::string("nul\0tail", 8)};
+  for (const uint64_t p : parents) {
+    EXPECT_EQ(obs::trace::IdHex(p), hex(p));
+    for (const int64_t a : ints) {
+      EXPECT_EQ(obs::trace::WindowSpanId(p, a),
+                DeriveId(StringPrintf("window:%s:%lld", hex(p).c_str(),
+                                      static_cast<long long>(a))));
+      for (const int64_t b : ints) {
+        EXPECT_EQ(obs::trace::TaskSpanId(p, a, b),
+                  DeriveId(StringPrintf("task:%s:%lld:%lld", hex(p).c_str(),
+                                        static_cast<long long>(a),
+                                        static_cast<long long>(b))));
+        EXPECT_EQ(obs::trace::FailureSpanId(p, a, b),
+                  DeriveId(StringPrintf("failure:%s:N%lld#%lld",
+                                        hex(p).c_str(),
+                                        static_cast<long long>(a),
+                                        static_cast<long long>(b))));
+        EXPECT_EQ(obs::trace::PaneSpanId(p, a, b, a ^ b),
+                  DeriveId(StringPrintf("pane:%s:S%lld:P%lld:W%lld",
+                                        hex(p).c_str(),
+                                        static_cast<long long>(a),
+                                        static_cast<long long>(b),
+                                        static_cast<long long>(a ^ b))));
+      }
+      for (const std::string& x : texts) {
+        for (const std::string& y : texts) {
+          EXPECT_EQ(obs::trace::PhaseSpanId(p, x, a, y),
+                    DeriveId(StringPrintf(
+                        "phase:%s:%.*s#%lld:%.*s", hex(p).c_str(),
+                        static_cast<int>(x.size()), x.data(),
+                        static_cast<long long>(a),
+                        static_cast<int>(y.size()), y.data())));
+          EXPECT_EQ(obs::trace::CacheOpSpanId(p, x, y, a),
+                    DeriveId(StringPrintf(
+                        "cacheop:%s:%.*s:%.*s#%lld", hex(p).c_str(),
+                        static_cast<int>(x.size()), x.data(),
+                        static_cast<int>(y.size()), y.data(),
+                        static_cast<long long>(a))));
+        }
+      }
+      TraceContext ctx;
+      ctx.trace_id = p;
+      ctx.span_id = ~p;
+      ctx.window = a;
+      ctx.sampled = (a & 1) != 0;
+      EXPECT_EQ(ctx.Serialize(),
+                StringPrintf("redoop-trace/%s/%s/%lld/%c", hex(p).c_str(),
+                             hex(~p).c_str(), static_cast<long long>(a),
+                             ctx.sampled ? 's' : 'u'));
+    }
+  }
+  for (const std::string& x : texts) {
+    EXPECT_EQ(obs::trace::TraceIdFor(x, "q"), DeriveId("trace:" + x + "/q"));
+  }
 }
 
 // ---------------------------------------------------------------------------
