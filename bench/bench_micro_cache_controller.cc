@@ -80,10 +80,7 @@ void BM_ControllerAddSignature(benchmark::State& state) {
   int64_t i = 0;
   for (auto _ : state) {
     CacheSignature sig;
-    sig.name = ReduceInputCacheName(1, 1, i, static_cast<int32_t>(i % 4));
-    sig.source = 1;
-    sig.pane = i;
-    sig.partition = static_cast<int32_t>(i % 4);
+    sig.key = CacheKey::ReduceInput(1, 1, i, static_cast<int32_t>(i % 4));
     sig.type = CacheType::kReduceInput;
     sig.ready = CacheReady::kCacheAvailable;
     sig.node = static_cast<NodeId>(i % 30);
@@ -105,9 +102,7 @@ void BM_ControllerFinishRecurrence(benchmark::State& state) {
     for (SourceId s : {1, 2}) {
       controller.OnPaneInHdfs(1, s, pane, {PaneFileName(s, pane)});
       CacheSignature sig;
-      sig.name = ReduceInputCacheName(1, s, pane, 0);
-      sig.source = s;
-      sig.pane = pane;
+      sig.key = CacheKey::ReduceInput(1, s, pane, 0);
       sig.type = CacheType::kReduceInput;
       sig.ready = CacheReady::kCacheAvailable;
       sig.node = static_cast<NodeId>(pane % 30);

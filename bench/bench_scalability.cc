@@ -117,8 +117,8 @@ void BM_MultiQueryConsolidation(benchmark::State& state) {
       Cluster cluster(kClusterNodes, Config());
       auto feed = MakeWccFeed(spec, 1);
       MultiQueryCoordinator coordinator(&cluster, feed.get());
-      coordinator.AddQuery(q1);
-      coordinator.AddQuery(q2);
+      REDOOP_CHECK_OK(coordinator.AddQuery(q1));
+      REDOOP_CHECK_OK(coordinator.AddQuery(q2));
       consolidated_total = 0.0;
       const std::vector<RunReport> consolidated =
           coordinator.Run(6).value();

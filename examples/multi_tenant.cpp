@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "common/logging.h"
 #include "common/string_utils.h"
 #include "core/multi_query.h"
 #include "queries/aggregation_query.h"
@@ -30,8 +31,8 @@ int main() {
                          std::make_shared<ConstantRate>(5.0), options));
 
   MultiQueryCoordinator coordinator(&cluster, feed.get());
-  coordinator.AddQuery(tenant_a);
-  coordinator.AddQuery(tenant_b);
+  REDOOP_CHECK_OK(coordinator.AddQuery(tenant_a));
+  REDOOP_CHECK_OK(coordinator.AddQuery(tenant_b));
   std::printf("Shared pane grid for source 1: %ld s\n\n",
               coordinator.PaneSizeForSource(1));
 

@@ -128,19 +128,18 @@ void WindowAwareCacheController::AddSignature(CacheSignature signature,
 
   // Index by pane (or pane pair), avoiding duplicate index entries when a
   // cache is re-registered after loss + rebuild.
-  const std::string name = signature.name;
-  if (signature.pane_right != kInvalidPane) {
-    const std::pair<PaneId, PaneId> key{signature.pane, signature.pane_right};
-    auto [begin, end] = q->caches_by_pair.equal_range(key);
+  const CacheKey& key = signature.key;
+  const std::string& name = key.name();
+  auto index = [&name](auto* by, const auto& at) {
+    auto [begin, end] = by->equal_range(at);
     const bool indexed =
         std::any_of(begin, end, [&](const auto& e) { return e.second == name; });
-    if (!indexed) q->caches_by_pair.insert({key, name});
+    if (!indexed) by->insert({at, name});
+  };
+  if (key.kind() == CacheKey::Kind::kJoinOutput) {
+    index(&q->caches_by_pair, std::pair{key.pane(), key.pane_right()});
   } else {
-    const std::pair<SourceId, PaneId> key{signature.source, signature.pane};
-    auto [begin, end] = q->caches_by_pane.equal_range(key);
-    const bool indexed =
-        std::any_of(begin, end, [&](const auto& e) { return e.second == name; });
-    if (!indexed) q->caches_by_pane.insert({key, name});
+    index(&q->caches_by_pane, std::pair{key.source(), key.pane()});
   }
   if (scope_.active()) {
     scope_.Increment(obs::metric::kCacheAdds);
@@ -149,10 +148,10 @@ void WindowAwareCacheController::AddSignature(CacheSignature signature,
         .With("name", name)
         .With("node", signature.node)
         .With("kind", CacheTypeName(signature.type))
-        .With("source", signature.source)
-        .With("pane", signature.pane)
-        .With("pane_right", signature.pane_right)
-        .With("partition", signature.partition)
+        .With("source", key.source())
+        .With("pane", key.pane())
+        .With("pane_right", key.pane_right())
+        .With("partition", key.partition())
         .With("bytes", signature.bytes)
         .With("records", signature.records);
   }
@@ -177,7 +176,7 @@ std::vector<const CacheSignature*> WindowAwareCacheController::CachesForPane(
   }
   std::sort(out.begin(), out.end(),
             [](const CacheSignature* a, const CacheSignature* b) {
-              return a->partition < b->partition;
+              return a->key.partition() < b->key.partition();
             });
   return out;
 }
@@ -280,12 +279,12 @@ void WindowAwareCacheController::ExpireCache(
   if (scope_.active()) {
     scope_.Increment(obs::metric::kCacheEvictions);
     scope_.Emit(obs::event::kCacheEvict)
-        .With("name", sig.name)
+        .With("name", name)
         .With("node", sig.node)
         .With("reason", "expired")
         .With("bytes", sig.bytes);
   }
-  out->push_back(PurgeNotification{sig.node, sig.name});
+  out->push_back(PurgeNotification{sig.node, sig.key});
   signatures_.erase(it);
 }
 
@@ -364,176 +363,98 @@ std::vector<PurgeNotification> WindowAwareCacheController::FinishRecurrence(
 // Failure recovery
 // ---------------------------------------------------------------------------
 
-WindowAwareCacheController::LossImpact
-WindowAwareCacheController::HandleLostCache(NodeId node,
-                                            const std::string& name) {
-  LossImpact impact;
-  auto it = signatures_.find(name);
-  if (it == signatures_.end()) return impact;
-  const CacheSignature sig = it->second;
-  if (sig.node != node) return impact;  // Stale notification.
-  signatures_.erase(it);
-  impact.lost_caches.push_back(PurgeNotification{node, name});
-  if (scope_.active()) {
-    scope_.Increment(obs::metric::kCacheInvalidations);
-    scope_.Emit(obs::event::kCacheInvalidate)
-        .With("name", name)
-        .With("node", node)
-        .With("reason", "lost")
-        .With("bytes", sig.bytes);
+namespace {
+const char* InvalidateReason(CacheLoss cause) {
+  switch (cause) {
+    case CacheLoss::kLost:
+      return "lost";
+    case CacheLoss::kInvalidated:
+      return "dropped";
+    case CacheLoss::kDiskFull:
+      return "disk_full";
+    case CacheLoss::kEvicted:
+      break;
   }
-
-  for (auto& [qid, q] : queries_) {
-    (void)qid;
-    if (sig.pane_right != kInvalidPane) {
-      // Lost pane-pair output: un-mark the matrix entry so the pair is
-      // recomputed if any window still needs it.
-      if (q->matrix != nullptr) {
-        // Only if the pair is still within the live (non-purged) region.
-        q->caches_by_pair.erase({sig.pane, sig.pane_right});
-      }
-      continue;
-    }
-    auto pane_it = q->panes.find({sig.source, sig.pane});
-    if (pane_it == q->panes.end()) continue;
-    PaneState& state = pane_it->second;
-    if (sig.type == CacheType::kReduceInput &&
-        state.ready == CacheReady::kCacheAvailable) {
-      // Roll the ready bit back to HDFS-available, evict pending reduce
-      // pairs using this pane, and schedule a rebuild map task (paper §5).
-      state.ready = CacheReady::kHdfsAvailable;
-      reduce_task_list_.erase(
-          std::remove_if(reduce_task_list_.begin(), reduce_task_list_.end(),
-                         [&](const PanePairWorkItem& item) {
-                           if (item.query != q->query.id) return false;
-                           const bool uses =
-                               item.left == sig.pane || item.right == sig.pane;
-                           if (uses) {
-                             q->pairs_enqueued.erase({item.left, item.right});
-                           }
-                           return uses;
-                         }),
-          reduce_task_list_.end());
-      if (!state.in_map_list) {
-        state.in_map_list = true;
-        PaneWorkItem rebuild{q->query.id, sig.source, sig.pane, state.files,
-                             /*rebuild=*/true};
-        map_task_list_.push_back(rebuild);
-        impact.rebuilds.push_back(rebuild);
-        if (scope_.active()) {
-          scope_.Increment(obs::metric::kCacheRebuilds);
-          scope_.Emit(obs::event::kCacheRebuild)
-              .With("query", q->query.id)
-              .With("source", sig.source)
-              .With("pane", sig.pane)
-              .With("partition", sig.partition)
-              .With("node", node);
-        }
-      }
-      // Sibling partition caches of the same pane survive: the rebuild is
-      // partition-scoped (paper §6.4 — pane/partition-grained caching
-      // loses only part of the cache on a failure).
-    }
-  }
-  return impact;
+  return nullptr;  // Evictions are journaled by the store.
 }
+}  // namespace
 
-WindowAwareCacheController::LossImpact WindowAwareCacheController::OnCacheLost(
-    NodeId node, const std::string& name) {
-  return HandleLostCache(node, name);
-}
-
-NodeId WindowAwareCacheController::OnCacheEvicted(const CacheKey& key) {
+NodeId WindowAwareCacheController::RollBack(const CacheKey& key,
+                                            CacheLoss cause) {
   auto it = signatures_.find(key.name());
   if (it == signatures_.end()) return kInvalidNode;
-  const CacheSignature sig = it->second;
-  // The store already journaled cache.pane.evict; the rollback here is
-  // silent so eviction accounting is never double-counted.
-  signatures_.erase(it);
-
-  for (auto& [qid, q] : queries_) {
-    (void)qid;
-    if (sig.pane_right != kInvalidPane) {
-      if (q->matrix == nullptr) continue;
-      // Drop only this partition's index entry; sibling partitions of the
-      // pair may still be resident.
-      auto [begin, end] =
-          q->caches_by_pair.equal_range({sig.pane, sig.pane_right});
-      for (auto e = begin; e != end; ++e) {
-        if (e->second == key.name()) {
-          q->caches_by_pair.erase(e);
-          break;
-        }
-      }
-      // Flip the cell back to recompute iff a future (unfinished) window
-      // still reads the pair; un-doing an expired cell would block Shift
-      // forever for a pair nothing will ever run again.
-      const int64_t last_needed =
-          std::min(q->geometry->LastRecurrenceUsingPane(sig.pane),
-                   q->geometry->LastRecurrenceUsingPane(sig.pane_right));
-      if (last_needed > q->last_finished_recurrence) {
-        q->matrix->MarkUndone(sig.pane, sig.pane_right);
-      }
-      continue;
-    }
-    auto pane_it = q->panes.find({sig.source, sig.pane});
-    if (pane_it == q->panes.end()) continue;
-    PaneState& state = pane_it->second;
-    if (sig.type == CacheType::kReduceInput &&
-        state.ready == CacheReady::kCacheAvailable) {
-      // Roll the ready bit back and strip pending reduce pairs using the
-      // pane — but schedule no rebuild map task: the window-preparation
-      // manifest check recomputes the pane lazily, only if it is read
-      // again.
-      state.ready = CacheReady::kHdfsAvailable;
-      reduce_task_list_.erase(
-          std::remove_if(reduce_task_list_.begin(), reduce_task_list_.end(),
-                         [&](const PanePairWorkItem& item) {
-                           if (item.query != q->query.id) return false;
-                           const bool uses =
-                               item.left == sig.pane || item.right == sig.pane;
-                           if (uses) {
-                             q->pairs_enqueued.erase({item.left, item.right});
-                           }
-                           return uses;
-                         }),
-          reduce_task_list_.end());
-    }
-  }
-  return sig.node;
-}
-
-NodeId WindowAwareCacheController::DropSignature(const std::string& name) {
-  auto it = signatures_.find(name);
-  if (it == signatures_.end()) return kInvalidNode;
   const NodeId node = it->second.node;
-  if (scope_.active()) {
+  const char* reason = InvalidateReason(cause);
+  if (reason != nullptr && scope_.active()) {
     scope_.Increment(obs::metric::kCacheInvalidations);
     scope_.Emit(obs::event::kCacheInvalidate)
-        .With("name", name)
+        .With("name", key.name())
         .With("node", node)
-        .With("reason", "dropped")
+        .With("reason", reason)
         .With("bytes", it->second.bytes);
   }
+  const CacheType type = it->second.type;
   signatures_.erase(it);
-  return node;
-}
+  QueryState* q = FindQuery(key.query());
+  if (q == nullptr) return node;
 
-WindowAwareCacheController::LossImpact WindowAwareCacheController::OnNodeLost(
-    NodeId node) {
-  LossImpact impact;
-  std::vector<std::string> on_node;
-  for (const auto& [name, sig] : signatures_) {
-    if (sig.node == node) on_node.push_back(name);
+  if (key.kind() == CacheKey::Kind::kJoinOutput) {
+    // Drop only this partition's index entry; the pair's sibling
+    // partitions keep theirs and expire on their own.
+    auto [begin, end] =
+        q->caches_by_pair.equal_range({key.pane(), key.pane_right()});
+    for (auto e = begin; e != end; ++e) {
+      if (e->second == key.name()) {
+        q->caches_by_pair.erase(e);
+        break;
+      }
+    }
+    const int64_t last_needed =
+        std::min(q->geometry->LastRecurrenceUsingPane(key.pane()),
+                 q->geometry->LastRecurrenceUsingPane(key.pane_right()));
+    if (q->matrix != nullptr && last_needed > q->last_finished_recurrence) {
+      q->matrix->MarkUndone(key.pane(), key.pane_right());
+    }
+    return node;
   }
-  for (const std::string& name : on_node) {
-    LossImpact one = HandleLostCache(node, name);
-    impact.rebuilds.insert(impact.rebuilds.end(), one.rebuilds.begin(),
-                           one.rebuilds.end());
-    impact.lost_caches.insert(impact.lost_caches.end(),
-                              one.lost_caches.begin(), one.lost_caches.end());
+  // Sibling partition caches of the pane survive: recovery is partition-
+  // scoped (paper §6.4 — pane/partition-grained caching loses only part of
+  // the cache on a failure).
+  auto pane_it = q->panes.find({key.source(), key.pane()});
+  if (type != CacheType::kReduceInput || pane_it == q->panes.end() ||
+      pane_it->second.ready != CacheReady::kCacheAvailable) {
+    return node;
   }
-  return impact;
+  PaneState& state = pane_it->second;
+  state.ready = CacheReady::kHdfsAvailable;
+  reduce_task_list_.erase(
+      std::remove_if(reduce_task_list_.begin(), reduce_task_list_.end(),
+                     [&](const PanePairWorkItem& item) {
+                       if (item.query != q->query.id) return false;
+                       const bool uses =
+                           item.left == key.pane() || item.right == key.pane();
+                       if (uses) {
+                         q->pairs_enqueued.erase({item.left, item.right});
+                       }
+                       return uses;
+                     }),
+      reduce_task_list_.end());
+  if (cause == CacheLoss::kLost && !state.in_map_list) {
+    state.in_map_list = true;
+    map_task_list_.push_back(PaneWorkItem{q->query.id, key.source(),
+                                          key.pane(), state.files,
+                                          /*rebuild=*/true});
+    if (scope_.active()) {
+      scope_.Increment(obs::metric::kCacheRebuilds);
+      scope_.Emit(obs::event::kCacheRebuild)
+          .With("query", q->query.id)
+          .With("source", key.source())
+          .With("pane", key.pane())
+          .With("partition", key.partition())
+          .With("node", node);
+    }
+  }
+  return node;
 }
 
 }  // namespace redoop

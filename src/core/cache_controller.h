@@ -45,7 +45,24 @@ struct PanePairWorkItem {
 /// registry once a cache's doneQueryMask is fully set (paper §4.2).
 struct PurgeNotification {
   NodeId node = kInvalidNode;
-  std::string name;
+  CacheKey key;
+};
+
+/// Why a cache disappeared. Every cause is observed — a failure, the
+/// store's budget, a pane rebuild, a full local FS — never configured, and
+/// it decides only the journal event and whether the rebuild is eager.
+enum class CacheLoss {
+  /// The node died or the file vanished (paper §5): cache.invalidate
+  /// "lost", and a lost reduce-input cache queues an eager rebuild.
+  kLost,
+  /// The budget-bounded store evicted the entry, directly or through a
+  /// fleet holder's fan-out. Silent: the store journals cache.pane.evict.
+  kEvicted,
+  /// Invalidated before a pane rebuild: cache.invalidate "dropped".
+  kInvalidated,
+  /// The node's local FS had no room even after on-demand purging (paper
+  /// §4.1): cache.invalidate "disk_full".
+  kDiskFull,
 };
 
 /// The Window-Aware Cache Controller (paper §4.2): master-side metadata for
@@ -122,37 +139,19 @@ class WindowAwareCacheController {
 
   // --- Failure recovery (paper §5) ----------------------------------------
 
-  struct LossImpact {
-    /// Panes whose reduce-input caches were lost: ready bit rolled back to
-    /// 1 (HDFS-available) and a rebuild item inserted into the map task
-    /// list. Pending reduce-list pairs using them were evicted.
-    std::vector<PaneWorkItem> rebuilds;
-    /// Caches invalidated by the loss (the lost file plus sibling caches
-    /// that the rebuild will re-materialize), with their last known node.
-    std::vector<PurgeNotification> lost_caches;
-  };
-
-  /// Rolls back metadata for one lost cache file.
-  LossImpact OnCacheLost(NodeId node, const std::string& name);
-
-  /// Rolls back metadata for every cache that lived on a dead node.
-  LossImpact OnNodeLost(NodeId node);
-
-  /// Drops one signature without rollback (driver-initiated invalidation
-  /// before a pane rebuild). No-op when unknown. Returns the dropped
-  /// signature's node, or kInvalidNode.
-  NodeId DropSignature(const std::string& name);
-
-  /// Rolls back metadata for a cache the budget-bounded store evicted.
-  /// Unlike OnCacheLost this never enqueues an eager rebuild — under
-  /// budget pressure that would thrash (evict, rebuild, evict again);
-  /// recovery is lazy, riding the driver's window-preparation checks
-  /// (manifest validation and missing-pair scans) so an evicted pane is
-  /// recomputed only when a window actually reads it again. For a
-  /// join-output cache the status-matrix cell flips back to not-done iff
-  /// a future (unfinished) window still uses the pair. Returns the
-  /// evicted signature's node, or kInvalidNode when unknown.
-  NodeId OnCacheEvicted(const CacheKey& key);
+  /// The one cache-loss rollback. Drops the signature and its pane (or
+  /// pair) index entry. A reduce-input cache's pane rolls its ready bit
+  /// back to HDFS-available and loses its pending reduce pairs; a pair
+  /// output's status-matrix cell flips back to not-done iff a future
+  /// (unfinished) window still reads the pair — un-doing an expired cell
+  /// would block Shift forever. Only kLost inserts the rebuild into the
+  /// map task list (paper §5); every other cause recovers lazily, through
+  /// the driver's window preparation (manifest checks and missing-pair
+  /// scans), so a tight budget cannot thrash (evict, rebuild, evict
+  /// again). Returns the dropped signature's node, or kInvalidNode when
+  /// the cache is unknown. `key` must not refer into the signature, which
+  /// this erases.
+  NodeId RollBack(const CacheKey& key, CacheLoss cause);
 
   /// Journals cache lifecycle decisions (add/evict/invalidate/rebuild,
   /// pane readiness, matrix transitions) through an attribution scope:
@@ -196,7 +195,6 @@ class WindowAwareCacheController {
   void EnqueueReadyPairs(QueryState* q, SourceId source, PaneId pane);
   void ExpireCache(const std::string& name, QueryState* q,
                    std::vector<PurgeNotification>* out);
-  LossImpact HandleLostCache(NodeId node, const std::string& name);
 
   std::map<QueryId, std::unique_ptr<QueryState>> queries_;
   std::map<std::string, CacheSignature> signatures_;

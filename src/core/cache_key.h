@@ -62,7 +62,8 @@ class CacheKey {
   QueryId query() const { return query_; }
   SourceId source() const { return source_; }    // RIC/ROC only.
   PaneId pane() const { return pane_; }          // Left pane for JOC.
-  PaneId pane_right() const { return pane_right_; }  // JOC only.
+  /// Right pane of a JOC; kInvalidPane for RIC/ROC.
+  PaneId pane_right() const { return pane_right_; }
   int32_t partition() const { return partition_; }
   int32_t chunk() const { return chunk_; }  // -1 when no chunk suffix.
   bool rebuilt() const { return rebuilt_; }
@@ -83,7 +84,7 @@ class CacheKey {
   QueryId query_ = 0;
   SourceId source_ = 0;
   PaneId pane_ = 0;
-  PaneId pane_right_ = 0;
+  PaneId pane_right_ = kInvalidPane;
   int32_t partition_ = 0;
   int32_t chunk_ = -1;
   bool rebuilt_ = false;

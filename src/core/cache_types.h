@@ -2,10 +2,10 @@
 #define REDOOP_CORE_CACHE_TYPES_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
+#include "core/cache_key.h"
 
 namespace redoop {
 
@@ -30,14 +30,10 @@ const char* CacheReadyName(CacheReady ready);
 
 /// The master-side summary of one cached file (paper §4.2 "cache
 /// signature"): identity, location, availability, and which queries are
-/// done with it.
+/// done with it. The key carries the query, source, pane (pair) and
+/// partition.
 struct CacheSignature {
-  std::string name;
-  SourceId source = 0;
-  PaneId pane = kInvalidPane;
-  /// Right-hand pane for pane-pair (join output) caches, else kInvalidPane.
-  PaneId pane_right = kInvalidPane;
-  int32_t partition = 0;
+  CacheKey key;
   CacheType type = CacheType::kNone;
   CacheReady ready = CacheReady::kNotAvailable;
   NodeId node = kInvalidNode;

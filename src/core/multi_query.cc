@@ -26,14 +26,21 @@ MultiQueryCoordinator::MultiQueryCoordinator(Cluster* cluster, BatchFeed* feed,
   }
 }
 
-void MultiQueryCoordinator::AddQuery(RecurringQuery query,
-                                     RedoopDriverOptions options,
-                                     double fair_weight) {
-  REDOOP_CHECK(!started_) << "AddQuery after Run";
+Status MultiQueryCoordinator::AddQuery(RecurringQuery query,
+                                       RedoopDriverOptions options,
+                                       double fair_weight) {
+  if (started_) {
+    return Status::FailedPrecondition("AddQuery after Run");
+  }
   query.CheckValid();
-  REDOOP_CHECK(fair_weight > 0.0) << "fair_weight must be positive";
-  REDOOP_CHECK(query_index_.find(query.id) == query_index_.end())
-      << "duplicate query id " << query.id;
+  if (!(fair_weight > 0.0)) {
+    return Status::InvalidArgument(
+        StringPrintf("fair_weight must be positive, got %g", fair_weight));
+  }
+  if (query_index_.count(query.id) > 0) {
+    return Status::AlreadyExists(
+        StringPrintf("duplicate query id %d", static_cast<int>(query.id)));
+  }
   query_index_[query.id] = entries_.size();
   for (const QuerySource& qs : query.sources) {
     source_constraints_[qs.id].push_back(qs.window);
@@ -44,6 +51,7 @@ void MultiQueryCoordinator::AddQuery(RecurringQuery query,
   entry.options = options;
   entry.fair_weight = fair_weight;
   entries_.push_back(std::move(entry));
+  return Status::OK();
 }
 
 Timestamp MultiQueryCoordinator::PaneSizeForSource(SourceId source) const {

@@ -51,9 +51,12 @@ class MultiQueryCoordinator {
   /// unique. `options.adaptive.pane_size_override` and `options.file_namespace`
   /// are set by the coordinator. `fair_weight` (> 0) is the query's
   /// fair-share weight: a weight-2 tenant is entitled to twice the
-  /// service of a weight-1 tenant before it has to queue.
-  void AddQuery(RecurringQuery query, RedoopDriverOptions options = {},
-                double fair_weight = 1.0);
+  /// service of a weight-1 tenant before it has to queue. Rejects, without
+  /// registering anything, a call after Run (FailedPrecondition), a
+  /// non-positive weight (InvalidArgument) and a duplicate query id
+  /// (AlreadyExists).
+  Status AddQuery(RecurringQuery query, RedoopDriverOptions options = {},
+                  double fair_weight = 1.0);
 
   /// The pane size the coordinator will assign to `source`, given the
   /// queries registered so far.

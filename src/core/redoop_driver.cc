@@ -116,7 +116,7 @@ RedoopDriver::RedoopDriver(Cluster* cluster, BatchFeed* feed,
     store_options.columnar_payloads = options_.cache.columnar_payloads;
     store_options.telemetry = scope_;
     store_options.on_evict = [this](const CacheStore::EvictionNotice& n) {
-      OnCacheEvicted(n);
+      DropCache(n.key, CacheLoss::kEvicted);
     };
     store_ = std::make_unique<CacheStore>(std::move(store_options));
   }
@@ -353,8 +353,6 @@ void RedoopDriver::RunPaneSlices(SourceId source, PaneId pane,
                                  const std::vector<FileSlice>& slices,
                                  std::vector<int32_t> active_partitions) {
   const EffectivePattern pattern = Effective(query_.pattern, options_);
-  PaneIngestState& ps = pane_states_[{source, pane}];
-  const int32_t chunk = ps.chunks_processed;
 
   // Cross-query dedup (DESIGN §17): if another query with an identical
   // upstream pipeline already built this pane on the same grid, adopt its
@@ -381,18 +379,14 @@ void RedoopDriver::RunPaneSlices(SourceId source, PaneId pane,
     input.record_end = slice.record_end;
     spec.map_inputs.push_back(std::move(input));
   }
-  const QueryId qid = query_.id;
-  const std::string chunk_suffix =
-      chunk > 0 ? StringPrintf("_c%d", chunk) : "";
   spec.cache.cache_reduce_input = options_.cache.reduce_input;
-  spec.cache.input_cache_name = [qid, chunk_suffix](SourceId s, PaneId p,
-                                                    int32_t r) {
-    return ReduceInputCacheName(qid, s, p, r) + chunk_suffix;
+  spec.cache.input_cache_name = [this](SourceId s, PaneId p, int32_t r) {
+    return PaneCacheKey(CacheKey::Kind::kReduceInput, s, p, r).name();
   };
   spec.cache.cache_reduce_output = make_roc;
-  spec.cache.output_cache_name = [qid, source, pane,
-                                  chunk_suffix](int32_t r) {
-    return ReduceOutputCacheName(qid, source, pane, r) + chunk_suffix;
+  spec.cache.output_cache_name = [this, source, pane](int32_t r) {
+    return PaneCacheKey(CacheKey::Kind::kReduceOutput, source, pane, r)
+        .name();
   };
   spec.active_partitions = std::move(active_partitions);
 
@@ -404,11 +398,21 @@ void RedoopDriver::RunPaneSlices(SourceId source, PaneId pane,
 }
 
 void RedoopDriver::RunPanePairBatch(
-    const std::vector<PanePairWorkItem>& pairs) {
-  if (pairs.empty()) return;
+    const std::vector<PanePairWorkItem>& batch) {
   const SourceId left_source = query_.sources[0].id;
   const SourceId right_source = query_.sources[1].id;
   const int32_t num_partitions = query_.config.num_reducers;
+  // A pair joins whole panes: one whose manifest lost a cache (a full local
+  // FS) would under-read, so it stays undone until its pane is intact or
+  // the window recomputes without caches.
+  std::vector<PanePairWorkItem> pairs;
+  for (const PanePairWorkItem& pair : batch) {
+    if (PaneIntact(left_source, pair.left) &&
+        PaneIntact(right_source, pair.right)) {
+      pairs.push_back(pair);
+    }
+  }
+  if (pairs.empty()) return;
 
   JobSpec spec;
   spec.config = BaseJobConfig("pane-pairs");
@@ -439,15 +443,15 @@ void RedoopDriver::RunPanePairBatch(
       task.label_left = pair.left;
       task.label_right = pair.right;
       task.output_cache_name =
-          JoinOutputCacheName(query_.id, pair.left, pair.right, r);
+          CacheKey::JoinOutput(query_.id, pair.left, pair.right, r).name();
       for (const CacheSignature* sig : left_caches) {
-        if (sig->partition == r) {
+        if (sig->key.partition() == r) {
           AppendSideInput(*sig, &task.side_inputs);
           if (anchor_left) task.preferred_node = sig->node;
         }
       }
       for (const CacheSignature* sig : right_caches) {
-        if (sig->partition == r) {
+        if (sig->key.partition() == r) {
           AppendSideInput(*sig, &task.side_inputs);
           if (!anchor_left) task.preferred_node = sig->node;
         }
@@ -489,20 +493,8 @@ void RedoopDriver::RebuildPane(SourceId source, PaneId pane) {
                                store_->Acquire(key));
                            return false;
                          }
-                         if (key.partition() >= 0) {
-                           lost->insert(key.partition());
-                         }
-                         const NodeId node =
-                             controller_.DropSignature(key.name());
-                         if (node != kInvalidNode &&
-                             node < cluster_->num_nodes()) {
-                           if (cluster_->node(node).alive()) {
-                             cluster_->node(node).DeleteLocalFile(
-                                 key.name());
-                           }
-                           registries_[static_cast<size_t>(node)]->Remove(
-                               key);
-                         }
+                         lost->insert(key.partition());
+                         DropCache(key, CacheLoss::kInvalidated);
                          return true;
                        }),
         manifest->end());
@@ -575,20 +567,17 @@ void RedoopDriver::RebuildOutputsFromInputs(
     const CacheSignature* sig = controller_.Find(key.name());
     if (sig != nullptr) AppendSideInput(*sig, &spec.side_inputs);
   }
-  const QueryId qid = query_.id;
-  const int32_t chunk = ps.chunks_processed;
-  const std::string chunk_suffix =
-      chunk > 0 ? StringPrintf("_c%d", chunk) : "";
   spec.cache.cache_reduce_output = true;
-  spec.cache.output_cache_name = [qid, source, pane,
-                                  chunk_suffix](int32_t r) {
-    return ReduceOutputCacheName(qid, source, pane, r) + chunk_suffix + "_rb";
+  spec.cache.output_cache_name = [this, source, pane](int32_t r) {
+    return PaneCacheKey(CacheKey::Kind::kReduceOutput, source, pane, r)
+        .Rebuilt()
+        .name();
   };
   spec.active_partitions = std::move(partitions);
 
   JobResult result = runner_->Run(spec);
   REDOOP_CHECK(result.status.ok()) << result.status.ToString();
-  RegisterJobCaches(result, source, pane);
+  RegisterJobCaches(result, source, pane, /*rebuilt=*/true);
   AccumulateJobStats(result);
 }
 
@@ -598,17 +587,17 @@ void RedoopDriver::RebuildOutputsFromInputs(
 
 void RedoopDriver::AppendSideInput(const CacheSignature& sig,
                                    std::vector<ReduceSideInput>* out) {
-  const CacheKey key = CacheKey::FromName(sig.name);
+  const CacheKey& key = sig.key;
   const CacheStore::Entry* entry = store_->Find(key);
-  REDOOP_CHECK(entry != nullptr) << "cache payload missing: " << sig.name;
+  REDOOP_CHECK(entry != nullptr) << "cache payload missing: " << key.name();
   // Pin for the rest of the recurrence: a side input already handed to a
   // job spec must not be reclaimed by a later Put's budget sweep.
   recurrence_leases_.push_back(store_->Acquire(key));
   ReduceSideInput side;
-  side.cache_name = sig.name;
-  side.partition = sig.partition;
-  side.source = sig.source;
-  side.pane = sig.pane;
+  side.cache_name = key.name();
+  side.partition = key.partition();
+  side.source = key.source();
+  side.pane = key.pane();
   side.location = sig.node;
   side.bytes = sig.bytes;
   side.records = sig.records;
@@ -618,68 +607,88 @@ void RedoopDriver::AppendSideInput(const CacheSignature& sig,
   out->push_back(std::move(side));
 }
 
-std::vector<ReduceSideInput> RedoopDriver::SideInputsFor(
-    const std::vector<const CacheSignature*>& caches) {
-  std::vector<ReduceSideInput> out;
-  out.reserve(caches.size());
-  for (const CacheSignature* sig : caches) AppendSideInput(*sig, &out);
-  return out;
+CacheKey RedoopDriver::PaneCacheKey(CacheKey::Kind kind, SourceId source,
+                                    PaneId pane, int32_t partition) const {
+  const CacheKey key =
+      kind == CacheKey::Kind::kReduceOutput
+          ? CacheKey::ReduceOutput(query_.id, source, pane, partition)
+          : CacheKey::ReduceInput(query_.id, source, pane, partition);
+  auto it = pane_states_.find({source, pane});
+  const int32_t chunk =
+      it == pane_states_.end() ? 0 : it->second.chunks_processed;
+  return chunk > 0 ? key.WithChunk(chunk) : key;
 }
 
 void RedoopDriver::RegisterJobCaches(const JobResult& result,
                                      SourceId source_for_roc,
-                                     PaneId pane_for_roc) {
+                                     PaneId pane_for_roc, bool rebuilt) {
   for (const MaterializedCache& cache : result.caches) {
-    // Free validation: a job that emitted a malformed cache file name dies
-    // here, not as an unfindable registry row windows later.
-    const CacheKey key = CacheKey::FromName(cache.name);
     CacheSignature sig;
-    sig.name = cache.name;
-    sig.partition = cache.partition;
+    if (cache.pane_right != kInvalidPane) {
+      sig.key = CacheKey::JoinOutput(query_.id, cache.pane, cache.pane_right,
+                                     cache.partition);
+    } else if (cache.is_reduce_output) {
+      // Per-pane aggregation partial.
+      sig.key = PaneCacheKey(CacheKey::Kind::kReduceOutput, source_for_roc,
+                             pane_for_roc, cache.partition);
+      if (rebuilt) sig.key = sig.key.Rebuilt();
+    } else {
+      sig.key = PaneCacheKey(CacheKey::Kind::kReduceInput, cache.source,
+                             cache.pane, cache.partition);
+    }
+    // The spec named the cache from the same key; a mismatch dies here,
+    // not as an unfindable registry row windows later.
+    REDOOP_CHECK(sig.key.name() == cache.name)
+        << "cache " << cache.name << " registered as " << sig.key.name();
+    const CacheKey key = sig.key;
     sig.node = cache.node;
     sig.bytes = cache.bytes;
     sig.records = cache.records;
     sig.ready = CacheReady::kCacheAvailable;
-    if (cache.is_reduce_output) {
-      sig.type = CacheType::kReduceOutput;
-      if (cache.pane_right != kInvalidPane) {
-        sig.pane = cache.pane;           // Pane-pair output.
-        sig.pane_right = cache.pane_right;
-      } else {
-        sig.source = source_for_roc;     // Per-pane aggregation partial.
-        sig.pane = pane_for_roc;
-      }
-    } else {
-      sig.type = CacheType::kReduceInput;
-      sig.source = cache.source;
-      sig.pane = cache.pane;
-    }
-    // Manifest bookkeeping for loss detection.
-    if (sig.pane_right == kInvalidPane && sig.pane != kInvalidPane) {
-      PaneIngestState& ps = pane_states_[{sig.source, sig.pane}];
-      if (sig.type == CacheType::kReduceInput) {
-        ps.ric_names.push_back(key);
-      } else {
-        ps.roc_names.push_back(key);
-      }
+    sig.type = cache.is_reduce_output ? CacheType::kReduceOutput
+                                      : CacheType::kReduceInput;
+    // Manifest bookkeeping for loss detection — a cache the node had no
+    // room for is listed too, so the pane reads as not intact.
+    if (key.kind() != CacheKey::Kind::kJoinOutput) {
+      PaneIngestState& ps = pane_states_[{key.source(), key.pane()}];
+      (sig.type == CacheType::kReduceInput ? ps.ric_names : ps.roc_names)
+          .push_back(key);
       // Serving this pane later in the same recurrence is not a cache hit.
-      panes_built_this_recurrence_.insert({sig.source, sig.pane});
-      pane_built_window_[{sig.source, sig.pane}] = telemetry_window_;
+      panes_built_this_recurrence_.insert({key.source(), key.pane()});
+      pane_built_window_[{key.source(), key.pane()}] = telemetry_window_;
     }
-    store_->Put(key, CacheStore::PanePayload(cache.payload),
-                CacheStore::PaneStats{sig.bytes, sig.records});
-    // Pin the fresh entry for the rest of the recurrence: the window that
-    // just paid to build it must be able to read it back.
-    recurrence_leases_.push_back(store_->Acquire(key));
-    registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,
-                                                         sig.bytes);
-    // The registry ships its delta to the master with its next heartbeat
-    // (paper §2.3); the bus records the in-flight metadata traffic.
-    cluster_->heartbeat_bus().Send(sig.node, cluster_->simulator().Now(),
-                                   "cache-add", sig.name);
+    if (!cache.local_fs_full) {
+      store_->Put(key, CacheStore::PanePayload(cache.payload),
+                  CacheStore::PaneStats{sig.bytes, sig.records});
+      // Pin the fresh entry for the rest of the recurrence: the window
+      // that just paid to build it must be able to read it back.
+      recurrence_leases_.push_back(store_->Acquire(key));
+      registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,
+                                                           sig.bytes);
+      // The registry ships its delta to the master with its next heartbeat
+      // (paper §2.3); the bus records the in-flight metadata traffic.
+      cluster_->heartbeat_bus().Send(sig.node, cluster_->simulator().Now(),
+                                     "cache-add", key.name());
+    }
     controller_.AddSignature(std::move(sig), query_.id);
+    if (cache.local_fs_full) DropCache(key, CacheLoss::kDiskFull);
   }
   cluster_->heartbeat_bus().DeliverUpTo(cluster_->simulator().Now());
+}
+
+bool RedoopDriver::PaneIntact(SourceId source, PaneId pane) const {
+  auto it = pane_states_.find({source, pane});
+  if (it == pane_states_.end()) return true;
+  // A signature lives exactly as long as its store entry (DropCache and
+  // expiry remove both), and asking the controller leaves the store's
+  // eviction policy untouched.
+  auto resident = [this](const CacheKey& key) {
+    return controller_.Find(key.name()) != nullptr;
+  };
+  return std::all_of(it->second.ric_names.begin(), it->second.ric_names.end(),
+                     resident) &&
+         std::all_of(it->second.roc_names.begin(), it->second.roc_names.end(),
+                     resident);
 }
 
 void RedoopDriver::AccumulateJobStats(const JobResult& result) {
@@ -834,12 +843,8 @@ JobSpec RedoopDriver::BuildFoldedWindowSpec(int64_t recurrence) {
     }
   }
   spec.cache.cache_reduce_input = options_.cache.reduce_input;
-  spec.cache.input_cache_name = [this, qid](SourceId s, PaneId p, int32_t r) {
-    auto it = pane_states_.find({s, p});
-    const int32_t chunk =
-        it == pane_states_.end() ? 0 : it->second.chunks_processed;
-    const std::string suffix = chunk > 0 ? StringPrintf("_c%d", chunk) : "";
-    return ReduceInputCacheName(qid, s, p, r) + suffix;
+  spec.cache.input_cache_name = [this](SourceId s, PaneId p, int32_t r) {
+    return PaneCacheKey(CacheKey::Kind::kReduceInput, s, p, r).name();
   };
   return spec;
 }
@@ -918,6 +923,11 @@ void RedoopDriver::PrepareJoinWindow(int64_t recurrence) {
   const EffectivePattern pattern = Effective(query_.pattern, options_);
   if (pattern != EffectivePattern::kPanePairJoin) return;
   join_window_override_.reset();
+
+  // A pane that lost a cache even after EnsureWindowPanes' rebuild cannot
+  // feed pairs or the cached-input recompute; AssembleWindow then answers
+  // the window without caches.
+  if (!WindowPanesIntact(recurrence)) return;
 
   // Drop deferred pairs that already ran (e.g. proactively).
   deferred_pairs_.erase(
@@ -1085,6 +1095,50 @@ void RedoopDriver::EmitPaneCacheStats(int64_t recurrence) {
   }
 }
 
+bool RedoopDriver::WindowPanesIntact(int64_t recurrence) const {
+  const PaneRange panes = geometry_.PanesForRecurrence(recurrence);
+  for (const QuerySource& qs : query_.sources) {
+    for (PaneId p = panes.first; p < panes.last; ++p) {
+      if (!PaneIntact(qs.id, p)) return false;
+    }
+  }
+  return true;
+}
+
+std::vector<KeyValue> RedoopDriver::RecomputeWindow(int64_t recurrence) {
+  const PaneRange panes = geometry_.PanesForRecurrence(recurrence);
+  JobSpec spec;
+  spec.config = BaseJobConfig(StringPrintf("window-%ld", recurrence));
+  spec.output_prefix = query_.OutputPathForRecurrence(recurrence);
+  if (query_.finalizer != nullptr &&
+      query_.pattern == IncrementalPattern::kPerPaneMerge) {
+    // Whole-window groups: reduce-then-finalize per key, as the Hadoop
+    // baseline does.
+    spec.config.reducer = std::make_shared<const ComposedReducer>(
+        query_.config.reducer, query_.finalizer);
+  }
+  for (const QuerySource& qs : query_.sources) {
+    spec.per_source_mappers[qs.id] = query_.MapperFor(qs.id);
+    for (PaneId p = panes.first; p < panes.last; ++p) {
+      auto it = pane_states_.find({qs.id, p});
+      if (it == pane_states_.end()) continue;
+      for (const FileSlice& slice : it->second.all_slices) {
+        MapInput input;
+        input.file_name = slice.file_name;
+        input.source = qs.id;
+        input.pane = p;
+        input.record_begin = slice.record_begin;
+        input.record_end = slice.record_end;
+        spec.map_inputs.push_back(std::move(input));
+      }
+    }
+  }
+  JobResult result = runner_->Run(spec);
+  REDOOP_CHECK(result.status.ok()) << result.status.ToString();
+  AccumulateJobStats(result);
+  return std::move(result.output);
+}
+
 WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
   const EffectivePattern pattern = Effective(query_.pattern, options_);
   const PaneRange panes = geometry_.PanesForRecurrence(recurrence);
@@ -1092,35 +1146,47 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
 
   EmitPaneCacheStats(recurrence);
 
-  JobSpec spec;
-  spec.config = BaseJobConfig(StringPrintf("window-%ld", recurrence));
-  spec.output_prefix = query_.OutputPathForRecurrence(recurrence);
+  WindowReport report;
+  report.recurrence = recurrence;
+  report.window_input_bytes = WindowInputBytes(panes);
+  auto finish = [&report](std::vector<KeyValue> output) {
+    report.output = std::move(output);
+    SortByKey(&report.output);
+    report.output_records = static_cast<int64_t>(report.output.size());
+    return std::move(report);
+  };
 
   switch (pattern) {
     case EffectivePattern::kPerPaneMerge: {
+      if (!WindowPanesIntact(recurrence)) break;
       // Merge per-pane partial aggregates (pane-based, not tuple-based).
+      JobSpec spec;
+      spec.config = BaseJobConfig(StringPrintf("window-%ld", recurrence));
+      spec.output_prefix = query_.OutputPathForRecurrence(recurrence);
       spec.config.reducer =
           query_.finalizer ? query_.finalizer : query_.config.reducer;
       const SourceId source = query_.sources[0].id;
       for (PaneId p = panes.first; p < panes.last; ++p) {
-        auto caches = controller_.CachesForPane(query_.id, source, p,
-                                                CacheType::kReduceOutput);
-        auto sides = SideInputsFor(caches);
-        spec.side_inputs.insert(spec.side_inputs.end(), sides.begin(),
-                                sides.end());
+        for (const CacheSignature* sig : controller_.CachesForPane(
+                 query_.id, source, p, CacheType::kReduceOutput)) {
+          AppendSideInput(*sig, &spec.side_inputs);
+        }
       }
-      break;
+      JobResult result = runner_->Run(spec);
+      REDOOP_CHECK(result.status.ok()) << result.status.ToString();
+      AccumulateJobStats(result);
+      return finish(std::move(result.output));
     }
     case EffectivePattern::kPanePairJoinNoOutputCache:
       // Without pair-output caching, each window is re-joined from the
       // cached reducer inputs — exactly the folded recompute below.
       [[fallthrough]];
     case EffectivePattern::kCachedInputRecompute: {
+      if (!WindowPanesIntact(recurrence)) break;
       // The folded window job (paper Fig. 5): map only the fresh panes,
       // pull the overlapping panes from the reducer-input caches, and keep
       // the fresh panes' shuffled inputs as next window's caches.
       JobSpec folded = BuildFoldedWindowSpec(recurrence);
-      folded.config.name = spec.config.name;
       if (query_.finalizer != nullptr &&
           query_.pattern == IncrementalPattern::kPerPaneMerge) {
         // Input-cache-only mode reduces whole windows directly, so the
@@ -1133,27 +1199,15 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       RegisterJobCaches(result, /*source_for_roc=*/0, kInvalidPane);
       AccumulateJobStats(result);
       FinishFoldedPanes(recurrence);
-
-      WindowReport report;
-      report.recurrence = recurrence;
-      report.output = std::move(result.output);
-      SortByKey(&report.output);
-      report.output_records = static_cast<int64_t>(report.output.size());
-      report.window_input_bytes = WindowInputBytes(panes);
-      return report;
+      return finish(std::move(result.output));
     }
     case EffectivePattern::kPanePairJoin: {
       if (join_window_override_.has_value()) {
         // The recompute path already produced (and published) the window
         // output in one pass over the cached reducer inputs.
-        WindowReport report;
-        report.recurrence = recurrence;
-        report.output = std::move(*join_window_override_);
+        std::vector<KeyValue> output = std::move(*join_window_override_);
         join_window_override_.reset();
-        SortByKey(&report.output);
-        report.output_records = static_cast<int64_t>(report.output.size());
-        report.window_input_bytes = WindowInputBytes(panes);
-        return report;
+        return finish(std::move(output));
       }
       // The window result is the union of the in-window pane-pair outputs.
       // Each pair's output was already materialized (and written to the
@@ -1165,63 +1219,29 @@ WindowReport RedoopDriver::AssembleWindow(int64_t recurrence) {
       // reserves once; the store entries own them and nothing touches the
       // store until the union is built.
       std::vector<const FlatKvBuffer*> payloads;
-      for (PaneId l = panes.first; l < panes.last; ++l) {
-        for (PaneId r = panes.first; r < panes.last; ++r) {
-          for (int32_t part = 0; part < num_partitions; ++part) {
+      bool resident = true;
+      for (PaneId l = panes.first; l < panes.last && resident; ++l) {
+        for (PaneId r = panes.first; r < panes.last && resident; ++r) {
+          for (int32_t part = 0; part < num_partitions && resident; ++part) {
             const CacheSignature* sig = controller_.Find(
                 JoinOutputCacheName(query_.id, l, r, part));
-            REDOOP_CHECK(sig != nullptr)
-                << "missing pair output " << l << "x" << r << " R" << part;
-            if (sig->records == 0) continue;
-            const CacheStore::Entry* entry =
-                store_->Find(CacheKey::FromName(sig->name));
+            resident = sig != nullptr;
+            if (!resident || sig->records == 0) continue;
+            const CacheStore::Entry* entry = store_->Find(sig->key);
             REDOOP_CHECK(entry != nullptr);
             payloads.push_back(entry->payload().get());
           }
         }
       }
-      WindowReport report;
-      report.recurrence = recurrence;
-      report.output = ConcatToKeyValues(payloads);
-      SortByKey(&report.output);
-      report.output_records = static_cast<int64_t>(report.output.size());
-      last_join_output_bytes_ = TotalLogicalBytes(report.output);
-      report.window_input_bytes = WindowInputBytes(panes);
-      return report;
+      if (!resident) break;
+      std::vector<KeyValue> output = ConcatToKeyValues(payloads);
+      last_join_output_bytes_ = TotalLogicalBytes(output);
+      return finish(std::move(output));
     }
-    case EffectivePattern::kNoCaching: {
-      // Degenerate mode: recompute the window from the pane files.
-      for (const QuerySource& qs : query_.sources) {
-        spec.per_source_mappers[qs.id] = query_.MapperFor(qs.id);
-        for (PaneId p = panes.first; p < panes.last; ++p) {
-          auto it = pane_states_.find({qs.id, p});
-          if (it == pane_states_.end()) continue;
-          for (const FileSlice& slice : it->second.all_slices) {
-            MapInput input;
-            input.file_name = slice.file_name;
-            input.source = qs.id;
-            input.pane = p;
-            input.record_begin = slice.record_begin;
-            input.record_end = slice.record_end;
-            spec.map_inputs.push_back(std::move(input));
-          }
-        }
-      }
+    case EffectivePattern::kNoCaching:
       break;
-    }
   }
-
-  JobResult result = runner_->Run(spec);
-  REDOOP_CHECK(result.status.ok()) << result.status.ToString();
-  AccumulateJobStats(result);
-
-  WindowReport report;
-  report.recurrence = recurrence;
-  report.output = std::move(result.output);
-  SortByKey(&report.output);
-  report.output_records = static_cast<int64_t>(report.output.size());
-  report.window_input_bytes = WindowInputBytes(panes);
-  return report;
+  return finish(RecomputeWindow(recurrence));
 }
 
 // ---------------------------------------------------------------------------
@@ -1395,14 +1415,13 @@ void RedoopDriver::AfterRecurrence(int64_t recurrence,
   const std::vector<PurgeNotification> notifications =
       controller_.FinishRecurrence(query_.id, recurrence);
   for (const PurgeNotification& n : notifications) {
-    const CacheKey key = CacheKey::FromName(n.name);
     if (n.node >= 0 && n.node < cluster_->num_nodes()) {
-      registries_[static_cast<size_t>(n.node)]->MarkExpired(key);
+      registries_[static_cast<size_t>(n.node)]->MarkExpired(n.key);
       // Master -> node purge notification (paper §4.2) rides the bus too.
       cluster_->heartbeat_bus().Send(n.node, cluster_->simulator().Now(),
-                                     "cache-expire", n.name);
+                                     "cache-expire", n.key.name());
     }
-    store_->Remove(key);
+    store_->Remove(n.key);
   }
   // Retire this recurrence's pins, then trim the store back under budget.
   // Doing both here (not lease-by-lease) keeps the victim sequence a pure
@@ -1556,50 +1575,39 @@ StatusOr<std::vector<KeyValue>> RedoopDriver::RunAdHocQuery(Timestamp begin,
 void RedoopDriver::OnCacheLossEvent(NodeId node,
                                     const std::vector<std::string>& lost) {
   for (const std::string& name : lost) {
-    WindowAwareCacheController::LossImpact impact =
-        controller_.OnCacheLost(node, name);
-    for (const PurgeNotification& n : impact.lost_caches) {
-      store_->Remove(CacheKey::FromName(n.name));
-      if (n.node >= 0 && n.node < cluster_->num_nodes()) {
-        if (n.node != node && cluster_->node(n.node).alive()) {
-          cluster_->node(n.node).DeleteLocalFile(n.name);
-        }
-        registries_[static_cast<size_t>(n.node)]->Remove(
-            CacheKey::FromName(n.name));
-      }
-    }
+    // A report naming a cache that has since been re-registered on another
+    // node is stale.
+    const CacheSignature* sig = controller_.Find(name);
+    if (sig == nullptr || sig->node != node) continue;
+    const CacheKey key = sig->key;  // The rollback erases *sig.
+    DropCache(key, CacheLoss::kLost);
   }
 }
 
-void RedoopDriver::OnCacheEvicted(const CacheStore::EvictionNotice& notice) {
-  // The store already dropped the payload and journaled the eviction; this
-  // rolls the *planner* back so the pane reads as recompute-needed: drop
-  // the signature, flip the matrix/ready bits, clear stale work-list
-  // entries, and purge the node-side metadata and file. No eager rebuild —
-  // a future window that actually reads the pane re-materializes it via
-  // EnsureWindowPanes / MissingWindowPairs (lazy, no thrash under a tight
-  // budget).
-  const NodeId node = controller_.OnCacheEvicted(notice.key);
+void RedoopDriver::DropCache(const CacheKey& key, CacheLoss cause) {
+  // No-op when the store already dropped the entry (its own evictions).
+  store_->Remove(key);
+  const NodeId node = controller_.RollBack(key, cause);
   if (node != kInvalidNode && node < cluster_->num_nodes()) {
     if (cluster_->node(node).alive()) {
-      cluster_->node(node).DeleteLocalFile(notice.key.name());
+      cluster_->node(node).DeleteLocalFile(key.name());
     }
-    registries_[static_cast<size_t>(node)]->Remove(notice.key);
+    registries_[static_cast<size_t>(node)]->Remove(key);
   }
-  // Fleet dedup (DESIGN §17): the evicted entry may be one physical image
+  // Fleet dedup (DESIGN §17): an evicted entry may be one physical image
   // shared with other queries — they lose it too. The fan-out drops the
-  // index entry and calls every other holder's EvictFleetPane.
-  if (options_.fleet != nullptr &&
-      notice.key.kind() != CacheKey::Kind::kJoinOutput) {
-    auto it = fleet_pane_keys_.find({notice.key.source(), notice.key.pane()});
-    if (it != fleet_pane_keys_.end()) {
-      const std::string content_key = it->second;
-      const SourceId source = it->first.first;
-      const PaneId pane = it->first.second;
-      fleet_pane_keys_.erase(it);
-      options_.fleet->FanoutEviction(content_key, source, pane, query_.id);
-    }
+  // index entry and calls every other holder's EvictFleetPane, which has
+  // already forgotten the pane, so the fan-out never recurses.
+  if (cause != CacheLoss::kEvicted || options_.fleet == nullptr ||
+      key.kind() == CacheKey::Kind::kJoinOutput) {
+    return;
   }
+  auto it = fleet_pane_keys_.find({key.source(), key.pane()});
+  if (it == fleet_pane_keys_.end()) return;
+  const std::string content_key = it->second;
+  fleet_pane_keys_.erase(it);
+  options_.fleet->FanoutEviction(content_key, key.source(), key.pane(),
+                                 query_.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1654,16 +1662,13 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
             ? CacheKey::ReduceOutput(query_.id, source, pane, image.partition)
             : CacheKey::ReduceInput(query_.id, source, pane, image.partition);
     CacheSignature sig;
-    sig.name = key.name();
-    sig.partition = image.partition;
+    sig.key = key;
     sig.node = image.node;
     sig.bytes = image.bytes;
     sig.records = image.records;
     sig.ready = CacheReady::kCacheAvailable;
     sig.type = image.is_reduce_output ? CacheType::kReduceOutput
                                       : CacheType::kReduceInput;
-    sig.source = source;
-    sig.pane = pane;
     if (sig.type == CacheType::kReduceInput) {
       ps.ric_names.push_back(key);
     } else {
@@ -1677,7 +1682,7 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
     registries_[static_cast<size_t>(sig.node)]->AddEntry(key, sig.type,
                                                          sig.bytes);
     cluster_->heartbeat_bus().Send(sig.node, cluster_->simulator().Now(),
-                                   "cache-add", sig.name);
+                                   "cache-add", key.name());
     adopted_bytes += sig.bytes;
     controller_.AddSignature(std::move(sig), query_.id);
   }
@@ -1699,7 +1704,13 @@ bool RedoopDriver::TryAdoptPane(SourceId source, PaneId pane) {
 void RedoopDriver::PublishFleetPane(
     SourceId source, PaneId pane,
     const std::vector<MaterializedCache>& caches) {
-  if (caches.empty()) return;
+  // An adopter registers each image at the producer's node, so a pane with
+  // a cache its node had no room for is not shared.
+  if (caches.empty() ||
+      std::any_of(caches.begin(), caches.end(),
+                  [](const MaterializedCache& c) { return c.local_fs_full; })) {
+    return;
+  }
   const std::string content_key = FleetContentKey(source, pane);
   std::vector<CacheImage> images;
   images.reserve(caches.size());
@@ -1731,17 +1742,10 @@ void RedoopDriver::EvictFleetPane(SourceId source, PaneId pane) {
   int64_t dropped = 0;
   int64_t dropped_bytes = 0;
   auto drop = [&](const CacheKey& key) {
-    if (!store_->Has(key)) return;
     const CacheStore::Entry* entry = store_->Find(key);
+    if (entry == nullptr) return;
     dropped_bytes += entry->bytes;
-    store_->Remove(key);  // Remove never re-enters eviction callbacks.
-    const NodeId node = controller_.OnCacheEvicted(key);
-    if (node != kInvalidNode && node < cluster_->num_nodes()) {
-      if (cluster_->node(node).alive()) {
-        cluster_->node(node).DeleteLocalFile(key.name());
-      }
-      registries_[static_cast<size_t>(node)]->Remove(key);
-    }
+    DropCache(key, CacheLoss::kEvicted);
     ++dropped;
   };
   for (const CacheKey& key : ps.ric_names) drop(key);

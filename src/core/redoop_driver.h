@@ -300,8 +300,9 @@ class RedoopDriver {
   void RunPaneSlices(SourceId source, PaneId pane,
                      const std::vector<FileSlice>& slices,
                      std::vector<int32_t> active_partitions = {});
-  /// Runs a batch of pane-pair join tasks as one job.
-  void RunPanePairBatch(const std::vector<PanePairWorkItem>& pairs);
+  /// Runs a batch of pane-pair join tasks as one job, skipping pairs with
+  /// a pane that is not intact.
+  void RunPanePairBatch(const std::vector<PanePairWorkItem>& batch);
   /// Invalidates the pane's *lost* caches and re-materializes just those:
   /// lost output caches with surviving input caches are re-reduced in
   /// place; anything else is replayed from the pane's HDFS files with the
@@ -311,8 +312,25 @@ class RedoopDriver {
   /// reduce-input caches.
   void RebuildOutputsFromInputs(SourceId source, PaneId pane,
                                 std::vector<int32_t> partitions);
+  /// Registers a job's caches: store, node registry, heartbeat and
+  /// signature. A cache that did not fit on its node's local FS enters the
+  /// pane manifest and goes straight through DropCache. `rebuilt` marks
+  /// reduce-output caches re-reduced from surviving inputs.
   void RegisterJobCaches(const JobResult& result, SourceId source_for_roc,
-                         PaneId pane_for_roc);
+                         PaneId pane_for_roc, bool rebuilt = false);
+  /// The key of a per-pane cache at the pane's current chunk; the job
+  /// specs render their cache names from it.
+  CacheKey PaneCacheKey(CacheKey::Kind kind, SourceId source, PaneId pane,
+                        int32_t partition) const;
+  /// Whether every cache in the pane's manifest is resident in the store
+  /// (true for a pane with no manifest).
+  bool PaneIntact(SourceId source, PaneId pane) const;
+  /// PaneIntact over every in-window pane of every source.
+  bool WindowPanesIntact(int64_t recurrence) const;
+  /// The no-caching recompute: one job over every in-window pane file.
+  /// Also answers any window that finds a cache it reads still absent
+  /// after its one rebuild attempt (EnsureWindowPanes).
+  std::vector<KeyValue> RecomputeWindow(int64_t recurrence);
   void AccumulateJobStats(const JobResult& result);
   WindowReport AssembleWindow(int64_t recurrence);
   /// Summed ingested bytes of every source's panes in the range.
@@ -324,16 +342,15 @@ class RedoopDriver {
   void EmitPaneCacheStats(int64_t recurrence);
   void AfterRecurrence(int64_t recurrence, const WindowReport& report);
   void OnCacheLossEvent(NodeId node, const std::vector<std::string>& lost);
-  /// Rolls planner state back for a budget eviction (signature drop, node
-  /// file delete, registry removal, ready-bit/matrix rollback) without
-  /// scheduling an eager rebuild.
-  void OnCacheEvicted(const CacheStore::EvictionNotice& notice);
+  /// The one way a cache leaves: drops its store entry, rolls the
+  /// controller back (RollBack), deletes the node file and the registry
+  /// row, and — for a budget eviction of a fleet-shared pane — fans the
+  /// eviction out to the other holders.
+  void DropCache(const CacheKey& key, CacheLoss cause);
   /// Appends the cache's payload as a reduce side input, pinning its store
   /// entry for the rest of the recurrence.
   void AppendSideInput(const CacheSignature& sig,
                        std::vector<ReduceSideInput>* out);
-  std::vector<ReduceSideInput> SideInputsFor(
-      const std::vector<const CacheSignature*>& caches);
   /// Join windows: decides the execution strategy (pane pairs vs cached-
   /// input recompute), runs the needed work, and — on the recompute path —
   /// stashes the window output in `join_window_override_`.

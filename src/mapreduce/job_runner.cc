@@ -953,7 +953,8 @@ void JobRunner::FinishReduceTask(RunState* run, ReduceTaskState* task,
 
   // Register cache files on the node's local FS so capacity/locality and
   // later failure injection see them. A full disk triggers on-demand
-  // purging (paper §4.1) before the cache is dropped as a last resort.
+  // purging (paper §4.1); a cache that still does not fit is reported as
+  // such, for the Redoop layer to roll back.
   for (MaterializedCache& cache : task->caches) {
     cache.node = task->node;
     TaskNode& n = cluster_->node(task->node);
@@ -962,11 +963,7 @@ void JobRunner::FinishReduceTask(RunState* run, ReduceTaskState* task,
       disk_full_handler_(task->node, cache.bytes);
       stored = n.PutLocalFile(cache.name, cache.bytes);
     }
-    if (!stored) {
-      REDOOP_LOG(Warning) << "node " << task->node
-                          << " local FS full; cache dropped: " << cache.name;
-      cache.bytes = -1;  // Mark dropped; filtered below.
-    }
+    cache.local_fs_full = !stored;
   }
 
   TaskReport report;
@@ -1389,7 +1386,6 @@ JobResult JobRunner::Run(const JobSpec& spec) {
                                   task->timing.compute + task->timing.write;
       if (task->output != nullptr) outputs.push_back(task->output.get());
       for (MaterializedCache& cache : task->caches) {
-        if (cache.bytes < 0) continue;  // Dropped: node disk was full.
         result.caches.push_back(std::move(cache));
       }
     }

@@ -65,6 +65,10 @@ struct MaterializedCache {
   bool is_reduce_output = false;
   int64_t bytes = 0;
   int64_t records = 0;
+  /// The node's local FS had no room even after on-demand purging (paper
+  /// §4.1): the cache was computed but never stored, and the Redoop layer
+  /// rolls it back.
+  bool local_fs_full = false;
   /// The cached pairs as an immutable flat buffer, shared (not copied)
   /// into the cache store and any aliasing side inputs.
   std::shared_ptr<const FlatKvBuffer> payload;

@@ -6,8 +6,10 @@
 
 #include "core/cache_controller.h"
 #include "core/pane_naming.h"
+#include "core/redoop_driver.h"
 #include "queries/aggregation_query.h"
 #include "queries/join_query.h"
+#include "tests/test_util.h"
 
 namespace redoop {
 namespace {
@@ -26,10 +28,7 @@ RecurringQuery JoinQuery(QueryId id = 2) {
 CacheSignature InputSig(QueryId q, SourceId s, PaneId p, int32_t r,
                         NodeId node) {
   CacheSignature sig;
-  sig.name = ReduceInputCacheName(q, s, p, r);
-  sig.source = s;
-  sig.pane = p;
-  sig.partition = r;
+  sig.key = CacheKey::ReduceInput(q, s, p, r);
   sig.type = CacheType::kReduceInput;
   sig.ready = CacheReady::kCacheAvailable;
   sig.node = node;
@@ -81,8 +80,8 @@ TEST(CacheControllerTest, SignaturesIndexedByPane) {
   auto caches =
       controller.CachesForPane(1, 1, 3, CacheType::kReduceInput);
   ASSERT_EQ(caches.size(), 2u);
-  EXPECT_EQ(caches[0]->partition, 0) << "sorted by partition";
-  EXPECT_EQ(caches[1]->partition, 2);
+  EXPECT_EQ(caches[0]->key.partition(), 0) << "sorted by partition";
+  EXPECT_EQ(caches[1]->key.partition(), 2);
 }
 
 TEST(CacheControllerTest, ReRegistrationDoesNotDuplicateIndex) {
@@ -165,14 +164,14 @@ TEST(CacheControllerTest, FinishRecurrenceExpiresAggPanes) {
   // last window IS recurrence 0... it expires right after it completes.
   auto notes = controller.FinishRecurrence(1, 0);
   ASSERT_EQ(notes.size(), 1u);
-  EXPECT_EQ(notes[0].name, ReduceInputCacheName(1, 1, 0, 0));
+  EXPECT_EQ(notes[0].key, CacheKey::ReduceInput(1, 1, 0, 0));
   EXPECT_EQ(notes[0].node, 0);
-  EXPECT_EQ(controller.Find(notes[0].name), nullptr)
+  EXPECT_EQ(controller.Find(notes[0].key.name()), nullptr)
       << "expired signature dropped";
   // Recurrence 1 retires pane 1.
   notes = controller.FinishRecurrence(1, 1);
   ASSERT_EQ(notes.size(), 1u);
-  EXPECT_EQ(notes[0].name, ReduceInputCacheName(1, 1, 1, 0));
+  EXPECT_EQ(notes[0].key, CacheKey::ReduceInput(1, 1, 1, 0));
 }
 
 TEST(CacheControllerTest, JoinExpirationRequiresLifespanCompletion) {
@@ -189,17 +188,14 @@ TEST(CacheControllerTest, JoinExpirationRequiresLifespanCompletion) {
   for (PaneId q = 0; q < 4; ++q) controller.MarkPanePairDone(2, 0, q);
   notes = controller.FinishRecurrence(2, 0);
   ASSERT_EQ(notes.size(), 1u);
-  EXPECT_EQ(notes[0].name, ReduceInputCacheName(2, 1, 0, 0));
+  EXPECT_EQ(notes[0].key, CacheKey::ReduceInput(2, 1, 0, 0));
 }
 
 TEST(CacheControllerTest, PairOutputExpiresWithLastSharedWindow) {
   WindowAwareCacheController controller;
   controller.RegisterQuery(JoinQuery(), kPane);
   CacheSignature joc;
-  joc.name = JoinOutputCacheName(2, 1, 3, 0);
-  joc.pane = 1;
-  joc.pane_right = 3;
-  joc.partition = 0;
+  joc.key = CacheKey::JoinOutput(2, 1, 3, 0);
   joc.type = CacheType::kReduceOutput;
   joc.node = 4;
   controller.AddSignature(joc, 2);
@@ -208,7 +204,7 @@ TEST(CacheControllerTest, PairOutputExpiresWithLastSharedWindow) {
   EXPECT_TRUE(controller.FinishRecurrence(2, 0).empty());
   auto notes = controller.FinishRecurrence(2, 1);
   ASSERT_EQ(notes.size(), 1u);
-  EXPECT_EQ(notes[0].name, joc.name);
+  EXPECT_EQ(notes[0].key, joc.key);
 }
 
 TEST(CacheControllerTest, CacheLossRollsBackReadyBit) {
@@ -225,33 +221,92 @@ TEST(CacheControllerTest, CacheLossRollsBackReadyBit) {
   while (controller.PopMapTask().has_value()) {
   }
 
-  auto impact =
-      controller.OnCacheLost(3, ReduceInputCacheName(2, 1, 0, 0));
+  EXPECT_EQ(controller.RollBack(CacheKey::ReduceInput(2, 1, 0, 0),
+                                CacheLoss::kLost),
+            3);
   EXPECT_EQ(controller.PaneReady(2, 1, 0), CacheReady::kHdfsAvailable)
       << "ready bit rolled back to HDFS-available (paper §5)";
   EXPECT_EQ(controller.reduce_task_list_size(), 0u)
       << "pending pairs using the pane evicted";
-  ASSERT_EQ(impact.rebuilds.size(), 1u);
-  EXPECT_TRUE(impact.rebuilds[0].rebuild);
-  EXPECT_EQ(impact.rebuilds[0].pane, 0);
-  EXPECT_EQ(controller.map_task_list_size(), 1u)
+  auto rebuild = controller.PopMapTask();
+  ASSERT_TRUE(rebuild.has_value())
       << "rebuild task inserted into the map task list";
+  EXPECT_TRUE(rebuild->rebuild);
+  EXPECT_EQ(rebuild->pane, 0);
   // The lost cache's signature dropped; the sibling partition survives.
   EXPECT_EQ(controller.Find(ReduceInputCacheName(2, 1, 0, 0)), nullptr);
   EXPECT_NE(controller.Find(ReduceInputCacheName(2, 1, 0, 1)), nullptr);
 }
 
-TEST(CacheControllerTest, CacheLossWithWrongNodeIsStale) {
+TEST(CacheControllerTest, OnlyLostCachesRebuildEagerly) {
+  for (CacheLoss cause :
+       {CacheLoss::kEvicted, CacheLoss::kInvalidated, CacheLoss::kDiskFull}) {
+    WindowAwareCacheController controller;
+    controller.RegisterQuery(JoinQuery(), kPane);
+    controller.OnPaneInHdfs(2, 1, 0, {"S1P0"});
+    controller.AddSignature(InputSig(2, 1, 0, 0, 3), 2);
+    controller.OnPaneCached(2, 1, 0);
+    while (controller.PopMapTask().has_value()) {
+    }
+    EXPECT_EQ(controller.RollBack(CacheKey::ReduceInput(2, 1, 0, 0), cause),
+              3);
+    EXPECT_EQ(controller.PaneReady(2, 1, 0), CacheReady::kHdfsAvailable);
+    EXPECT_EQ(controller.map_task_list_size(), 0u)
+        << "lazy: the next window that reads the pane rebuilds it";
+  }
+}
+
+TEST(CacheControllerTest, LostPairPartitionLeavesSiblingsToExpire) {
   WindowAwareCacheController controller;
   controller.RegisterQuery(JoinQuery(), kPane);
-  controller.AddSignature(InputSig(2, 1, 0, 0, 3), 2);
-  auto impact =
-      controller.OnCacheLost(9, ReduceInputCacheName(2, 1, 0, 0));
-  EXPECT_TRUE(impact.lost_caches.empty());
-  EXPECT_NE(controller.Find(ReduceInputCacheName(2, 1, 0, 0)), nullptr);
+  for (int32_t r = 0; r < 2; ++r) {
+    CacheSignature joc;
+    joc.key = CacheKey::JoinOutput(2, 1, 3, r);
+    joc.type = CacheType::kReduceOutput;
+    joc.node = 4;
+    controller.AddSignature(joc, 2);
+  }
+  EXPECT_EQ(controller.RollBack(CacheKey::JoinOutput(2, 1, 3, 0),
+                                CacheLoss::kLost),
+            4);
+  EXPECT_EQ(controller.signature_count(), 1u);
+  // Pair (1, 3)'s last window is recurrence 1; past it, the surviving
+  // partition expires like any other pair output.
+  controller.FinishRecurrence(2, 50);
+  EXPECT_EQ(controller.signature_count(), 0u);
+}
+
+TEST(CacheControllerTest, CacheLossWithWrongNodeIsStale) {
+  // Loss reports reach the controller through the driver's cluster
+  // listener; one naming a cache registered on a different node is stale.
+  RecurringQuery query = MakeJoinQuery(2, "join", 1, 2, 120, 40, 4);
+  Cluster cluster(8, testing::SmallClusterConfig());
+  auto feed = testing::MakeFfgFeed(1, 2, 4, 20);
+  RedoopDriver redoop(&cluster, feed.get(), query);
+  ASSERT_TRUE(redoop.RunRecurrence(0).ok());
+  std::string victim;
+  NodeId home = kInvalidNode;
+  for (NodeId n = 0; n < 8 && victim.empty(); ++n) {
+    for (const std::string& file : cluster.node(n).LocalFileNames()) {
+      if (redoop.controller().Find(file) != nullptr) {
+        victim = file;
+        home = n;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  const NodeId other = (home + 1) % 8;
+  ASSERT_TRUE(cluster.node(other).PutLocalFile(victim, 1));
+  cluster.InjectCacheLoss(other, victim);
+  const CacheSignature* sig = redoop.controller().Find(victim);
+  ASSERT_NE(sig, nullptr);
+  EXPECT_EQ(sig->node, home);
+  EXPECT_TRUE(redoop.store().Has(sig->key));
 }
 
 TEST(CacheControllerTest, OnNodeLostSweepsAllItsCaches) {
+  // A dead node reports every file it held; each goes through RollBack.
   WindowAwareCacheController controller;
   controller.RegisterQuery(JoinQuery(), kPane);
   controller.OnPaneInHdfs(2, 1, 0, {"S1P0"});
@@ -260,8 +315,12 @@ TEST(CacheControllerTest, OnNodeLostSweepsAllItsCaches) {
   controller.AddSignature(InputSig(2, 1, 2, 0, 4), 2);
   controller.OnPaneCached(2, 1, 0);
 
-  auto impact = controller.OnNodeLost(3);
-  EXPECT_EQ(impact.lost_caches.size(), 2u);
+  for (PaneId p : {0, 1}) {
+    EXPECT_EQ(controller.RollBack(CacheKey::ReduceInput(2, 1, p, 0),
+                                  CacheLoss::kLost),
+              3);
+  }
+  EXPECT_EQ(controller.signature_count(), 1u);
   EXPECT_EQ(controller.Find(ReduceInputCacheName(2, 1, 2, 0))->node, 4)
       << "other nodes' caches untouched";
 }
@@ -286,8 +345,11 @@ TEST(CacheControllerTest, DropSignatureReturnsNode) {
   WindowAwareCacheController controller;
   controller.RegisterQuery(AggQuery(), kPane);
   controller.AddSignature(InputSig(1, 1, 0, 0, 7), 1);
-  EXPECT_EQ(controller.DropSignature(ReduceInputCacheName(1, 1, 0, 0)), 7);
-  EXPECT_EQ(controller.DropSignature("unknown"), kInvalidNode);
+  const CacheKey key = CacheKey::ReduceInput(1, 1, 0, 0);
+  EXPECT_EQ(controller.RollBack(key, CacheLoss::kInvalidated), 7);
+  EXPECT_EQ(controller.Find(key.name()), nullptr);
+  EXPECT_EQ(controller.RollBack(key, CacheLoss::kInvalidated), kInvalidNode)
+      << "unknown caches roll back to nothing";
 }
 
 }  // namespace

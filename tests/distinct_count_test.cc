@@ -77,10 +77,22 @@ TEST(DistinctCountTest, RedoopMatchesHadoop) {
   auto redoop_feed = MakeWccFeed(1, 30, 20);
   RedoopDriver redoop(&redoop_cluster, redoop_feed.get(), query);
 
+  // Without caches every window is one recompute job, which must apply the
+  // count finalizer to the whole window's distinct set.
+  Cluster nocache_cluster(kNodes, SmallClusterConfig());
+  auto nocache_feed = MakeWccFeed(1, 30, 20);
+  RedoopDriverOptions nocache;
+  nocache.cache.reduce_input = false;
+  nocache.cache.reduce_output = false;
+  RedoopDriver redoop_nocache(&nocache_cluster, nocache_feed.get(), query,
+                              nocache);
+
   for (int64_t i = 0; i < 4; ++i) {
     WindowReport h = hadoop.RunRecurrence(i);
     WindowReport r = redoop.RunRecurrence(i).value();
     ASSERT_TRUE(SameOutput(h.output, r.output)) << "window " << i;
+    WindowReport n = redoop_nocache.RunRecurrence(i).value();
+    ASSERT_TRUE(SameOutput(h.output, n.output)) << "no caches, window " << i;
   }
 }
 

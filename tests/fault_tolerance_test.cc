@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "baseline/hadoop_driver.h"
 #include "core/pane_naming.h"
 #include "core/redoop_driver.h"
@@ -19,6 +22,9 @@ using ::redoop::testing::SameOutput;
 using ::redoop::testing::SmallClusterConfig;
 
 constexpr int32_t kNodes = 8;
+/// Node local FS capacity for the full-disk cases (512 KiB): reduce-input,
+/// reduce-output and pane-pair caches all overflow it.
+constexpr int64_t kFullLocalFsBytes = 512 * 1024;
 
 // Removes every cache file present on `node`, via the injection API.
 void WipeNodeCaches(Cluster* cluster, NodeId node) {
@@ -165,11 +171,11 @@ TEST(FaultToleranceTest, CacheLossRollsBackPaneReadyBit) {
     for (const std::string& file : cluster.node(n).LocalFileNames()) {
       const CacheSignature* sig = redoop.controller().Find(file);
       if (sig != nullptr && sig->type == CacheType::kReduceInput &&
-          sig->pane >= 2) {
+          sig->key.pane() >= 2) {
         victim_name = file;
         victim_node = n;
-        victim_pane = sig->pane;
-        victim_source = sig->source;
+        victim_pane = sig->key.pane();
+        victim_source = sig->key.source();
         break;
       }
     }
@@ -189,6 +195,115 @@ TEST(FaultToleranceTest, CacheLossRollsBackPaneReadyBit) {
   EXPECT_GT(redoop.RunRecurrence(1).value().output.size(), 0u);
   EXPECT_EQ(redoop.controller().PaneReady(2, victim_source, victim_pane),
             CacheReady::kCacheAvailable);
+}
+
+// --- A full local FS (paper §4.1) ------------------------------------------
+
+/// Caches journaled as dropped because their node's local FS had no room.
+int64_t DiskFullDrops(RedoopDriver* redoop) {
+  int64_t drops = 0;
+  for (const obs::Event& e : redoop->observability()->journal().events()) {
+    if (e.type() != obs::event::kCacheInvalidate) continue;
+    const obs::EventField* reason = e.Find("reason");
+    if (reason != nullptr && reason->str == "disk_full") ++drops;
+  }
+  return drops;
+}
+
+struct FullLocalFsCase {
+  const char* name;
+  bool join;
+  /// Join only: the hybrid optimizer, or pane pairs always.
+  bool hybrid;
+  /// Off: windows are folded jobs over the reduce-input caches.
+  bool reduce_output;
+  int32_t threads;
+};
+
+// Test names carry the printed parameter: print the label, not the bytes
+// (which hold a pointer).
+std::ostream& operator<<(std::ostream& os, const FullLocalFsCase& c) {
+  return os << c.name;
+}
+
+class FullLocalFsTest : public ::testing::TestWithParam<FullLocalFsCase> {};
+
+// Node local FSs far smaller than the live caches: caches overflow, go
+// through the one rollback, and every window must still equal Hadoop's —
+// rebuilt from caches where they fit, recomputed without them where they
+// do not.
+TEST_P(FullLocalFsTest, MatchesHadoopWindowByWindow) {
+  const FullLocalFsCase& c = GetParam();
+  RecurringQuery query =
+      c.join ? MakeJoinQuery(2, "join", 1, 2, 120, 40, 4)
+             : MakeAggregationQuery(1, "agg", 1, 200, 40, 4);
+  Config small_fs = SmallClusterConfig();
+  small_fs.SetInt("node.local_capacity", kFullLocalFsBytes);
+
+  Cluster hadoop_cluster(kNodes, SmallClusterConfig());
+  auto hadoop_feed = c.join ? MakeFfgFeed(1, 2, 4, 20) : MakeWccFeed(1, 30, 20);
+  HadoopRecurringDriver hadoop(&hadoop_cluster, hadoop_feed.get(), query);
+
+  Cluster redoop_cluster(kNodes, small_fs);
+  auto redoop_feed = c.join ? MakeFfgFeed(1, 2, 4, 20) : MakeWccFeed(1, 30, 20);
+  RedoopDriverOptions options;
+  options.cache.hybrid_join_strategy = c.hybrid;
+  options.cache.reduce_output = c.reduce_output;
+  options.runner.threads = c.threads;
+  RedoopDriver redoop(&redoop_cluster, redoop_feed.get(), query, options);
+
+  for (int64_t i = 0; i < 5; ++i) {
+    WindowReport h = hadoop.RunRecurrence(i);
+    StatusOr<WindowReport> r = redoop.RunRecurrence(i);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(SameOutput(h.output, r->output)) << "window " << i;
+  }
+  EXPECT_GT(DiskFullDrops(&redoop), 0) << "the local FS must overflow";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, FullLocalFsTest,
+    ::testing::Values(
+        FullLocalFsCase{"agg_t1", false, false, true, 1},
+        FullLocalFsCase{"agg_t8", false, false, true, 8},
+        FullLocalFsCase{"agg_input_cache_only_t1", false, false, false, 1},
+        FullLocalFsCase{"join_pairs_t1", true, false, true, 1},
+        FullLocalFsCase{"join_pairs_t8", true, false, true, 8},
+        FullLocalFsCase{"join_hybrid_t1", true, true, true, 1},
+        FullLocalFsCase{"join_hybrid_t8", true, true, true, 8},
+        FullLocalFsCase{"join_input_cache_only_t1", true, false, false, 1}),
+    [](const ::testing::TestParamInfo<FullLocalFsCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Node 0's local FS fills up for one window, then drains. A pair job run
+// against a pane that lost a cache to it would under-read, and its wrong
+// pair output would be reused once every other cache is back.
+TEST(FaultToleranceTest, JoinPairsSurviveATransientlyFullNode) {
+  RecurringQuery query = MakeJoinQuery(2, "join", 1, 2, 120, 40, 4);
+  Cluster hadoop_cluster(kNodes, SmallClusterConfig());
+  auto hadoop_feed = MakeFfgFeed(1, 2, 4, 20);
+  HadoopRecurringDriver hadoop(&hadoop_cluster, hadoop_feed.get(), query);
+
+  Cluster redoop_cluster(kNodes, SmallClusterConfig());
+  auto redoop_feed = MakeFfgFeed(1, 2, 4, 20);
+  RedoopDriverOptions options;
+  options.cache.hybrid_join_strategy = false;
+  RedoopDriver redoop(&redoop_cluster, redoop_feed.get(), query, options);
+
+  TaskNode& node = redoop_cluster.node(0);
+  for (int64_t i = 0; i < 6; ++i) {
+    if (i == 1) {
+      ASSERT_TRUE(node.PutLocalFile(
+          "filler", node.local_capacity_bytes() - node.local_bytes_used()));
+    }
+    if (i == 2) node.DeleteLocalFile("filler");
+    WindowReport h = hadoop.RunRecurrence(i);
+    StatusOr<WindowReport> r = redoop.RunRecurrence(i);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(SameOutput(h.output, r->output)) << "window " << i;
+  }
+  EXPECT_GT(DiskFullDrops(&redoop), 0) << "node 0's local FS must overflow";
 }
 
 }  // namespace

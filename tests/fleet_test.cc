@@ -118,15 +118,20 @@ std::vector<RunReport> RunFleetCoordinator(const FleetOptions& fleet,
                                            int32_t threads,
                                            int64_t budget_bytes,
                                            int64_t windows,
-                                           FleetStats* stats = nullptr) {
-  Cluster cluster(kNodes, SmallClusterConfig());
+                                           FleetStats* stats = nullptr,
+                                           int64_t local_capacity = 0) {
+  Config config = SmallClusterConfig();
+  if (local_capacity > 0) {
+    config.SetInt("node.local_capacity", local_capacity);
+  }
+  Cluster cluster(kNodes, config);
   auto feed = MakeWccFeed(1, 20, 20);
   MultiQueryCoordinator coordinator(&cluster, feed.get(), fleet);
   for (RecurringQuery& query : FleetQueries()) {
     RedoopDriverOptions options;
     options.runner.threads = threads;
     options.cache.budget_bytes = budget_bytes;
-    coordinator.AddQuery(std::move(query), options);
+    EXPECT_TRUE(coordinator.AddQuery(std::move(query), options).ok());
   }
   std::vector<RunReport> reports = coordinator.Run(windows).value();
   if (stats != nullptr) *stats = coordinator.fleet_stats();
@@ -182,6 +187,32 @@ TEST(FleetCoordinatorTest, TightBudgetEvictionFanoutKeepsOutputs) {
       fleet, /*threads=*/1, /*budget_bytes=*/1, /*windows=*/3, &stats);
   ExpectSameOutputs(baseline, shared);
   EXPECT_GT(stats.dedup_published, 0);
+}
+
+TEST(FleetCoordinatorTest, FullLocalFsKeepsOutputs) {
+  // Node local FSs too small for every pane's caches: a cache that does
+  // not fit is dropped through the one rollback, its pane is not shared,
+  // and every query's windows must still match the private baseline.
+  const std::vector<RunReport> baseline =
+      RunFleetCoordinator(FleetOptions(), /*threads=*/1,
+                          /*budget_bytes=*/0, /*windows=*/3);
+  FleetOptions fleet;
+  fleet.shared_scans = true;
+  fleet.cache_dedup = true;
+  for (const int32_t threads : {1, 8}) {
+    FleetStats roomy;
+    RunFleetCoordinator(fleet, threads, /*budget_bytes=*/0, /*windows=*/3,
+                        &roomy);
+    FleetStats full;
+    const std::vector<RunReport> shared = RunFleetCoordinator(
+        fleet, threads, /*budget_bytes=*/0, /*windows=*/3, &full,
+        /*local_capacity=*/512 * 1024);
+    ExpectSameOutputs(baseline, shared);
+    // Some panes fit and are still shared; the others are not.
+    EXPECT_GT(full.dedup_adoptions, 0) << "threads " << threads;
+    EXPECT_LT(full.dedup_published, roomy.dedup_published)
+        << "threads " << threads;
+  }
 }
 
 TEST(FleetCoordinatorTest, FairShareIsDeterministicAndByteIdentical) {

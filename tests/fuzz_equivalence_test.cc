@@ -55,6 +55,15 @@ TEST_P(FuzzEquivalenceTest, RandomConfigRedoopEqualsHadoop) {
   options.cache.hybrid_join_strategy = rng.Bernoulli(0.7);
   options.adaptive.enabled = rng.Bernoulli(0.3);
   if (options.adaptive.enabled) options.adaptive.proactive_threshold = 0.05;
+  // Every cache-loss cause: node local FSs that overflow (0 keeps the
+  // default capacity), a store budget that evicts (0 is unbounded), and
+  // the parallel engine.
+  const int64_t kLocalCapacities[] = {0, 256 * 1024, 1024 * 1024,
+                                      4 * 1024 * 1024};
+  const int64_t local_capacity = kLocalCapacities[rng.Uniform(4)];
+  const int64_t kBudgets[] = {0, 1, 512 * 1024, 4 * 1024 * 1024};
+  options.cache.budget_bytes = kBudgets[rng.Uniform(4)];
+  options.runner.threads = rng.Bernoulli(0.5) ? 8 : 1;
 
   SCOPED_TRACE(::testing::Message()
                << "win=" << win << " slide=" << slide << " join=" << join
@@ -63,14 +72,21 @@ TEST_P(FuzzEquivalenceTest, RandomConfigRedoopEqualsHadoop) {
                << " ric=" << options.cache.reduce_input
                << " roc=" << options.cache.reduce_output
                << " adaptive=" << options.adaptive.enabled
-               << " hybrid=" << options.cache.hybrid_join_strategy);
+               << " hybrid=" << options.cache.hybrid_join_strategy
+               << " local_capacity=" << local_capacity
+               << " budget=" << options.cache.budget_bytes
+               << " threads=" << options.runner.threads);
 
   RecurringQuery query =
       join ? MakeJoinQuery(9, "fuzz-join", 1, 2, win, slide, reducers)
            : MakeAggregationQuery(9, "fuzz-agg", 1, win, slide, reducers);
 
+  Config redoop_config = SmallClusterConfig();
+  if (local_capacity > 0) {
+    redoop_config.SetInt("node.local_capacity", local_capacity);
+  }
   Cluster hadoop_cluster(nodes, SmallClusterConfig());
-  Cluster redoop_cluster(nodes, SmallClusterConfig());
+  Cluster redoop_cluster(nodes, redoop_config);
   std::unique_ptr<SyntheticFeed> hadoop_feed;
   std::unique_ptr<SyntheticFeed> redoop_feed;
   if (join) {
@@ -86,10 +102,11 @@ TEST_P(FuzzEquivalenceTest, RandomConfigRedoopEqualsHadoop) {
 
   for (int64_t i = 0; i < windows; ++i) {
     WindowReport h = hadoop.RunRecurrence(i);
-    WindowReport r = redoop.RunRecurrence(i).value();
-    ASSERT_TRUE(SameOutput(h.output, r.output))
+    StatusOr<WindowReport> r = redoop.RunRecurrence(i);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(SameOutput(h.output, r->output))
         << "diverged at window " << i << " (hadoop " << h.output.size()
-        << " rows, redoop " << r.output.size() << ")";
+        << " rows, redoop " << r->output.size() << ")";
   }
 }
 

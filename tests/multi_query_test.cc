@@ -24,8 +24,10 @@ TEST(MultiQueryTest, SharedSourceGetsGcdPaneGrid) {
   MultiQueryCoordinator coordinator(&cluster, feed.get());
   // Query 1: win 200 / slide 40 (own GCD 40); query 2: win 300 / slide 60
   // (own GCD 60). Shared source 1 -> common grid GCD(200,40,300,60) = 20.
-  coordinator.AddQuery(MakeAggregationQuery(1, "q1", 1, 200, 40, 4));
-  coordinator.AddQuery(MakeAggregationQuery(2, "q2", 1, 300, 60, 4));
+  ASSERT_TRUE(
+      coordinator.AddQuery(MakeAggregationQuery(1, "q1", 1, 200, 40, 4)).ok());
+  ASSERT_TRUE(
+      coordinator.AddQuery(MakeAggregationQuery(2, "q2", 1, 300, 60, 4)).ok());
   EXPECT_EQ(coordinator.PaneSizeForSource(1), 20);
 }
 
@@ -47,8 +49,8 @@ TEST(MultiQueryTest, CoRunningQueriesMatchIsolatedHadoop) {
   Cluster cluster(kNodes, SmallClusterConfig());
   auto feed = MakeWccFeed(1, 20, 20);
   MultiQueryCoordinator coordinator(&cluster, feed.get());
-  coordinator.AddQuery(q1);
-  coordinator.AddQuery(q2);
+  ASSERT_TRUE(coordinator.AddQuery(q1).ok());
+  ASSERT_TRUE(coordinator.AddQuery(q2).ok());
   const std::vector<RunReport> reports = coordinator.Run(kWindows).value();
 
   ASSERT_EQ(reports.size(), 2u);
@@ -69,8 +71,8 @@ TEST(MultiQueryTest, InterleavesInTriggerOrder) {
   Cluster cluster(kNodes, SmallClusterConfig());
   auto feed = MakeWccFeed(1, 20, 20);
   MultiQueryCoordinator coordinator(&cluster, feed.get());
-  coordinator.AddQuery(q1);
-  coordinator.AddQuery(q2);
+  ASSERT_TRUE(coordinator.AddQuery(q1).ok());
+  ASSERT_TRUE(coordinator.AddQuery(q2).ok());
   const std::vector<RunReport> reports = coordinator.Run(3).value();
 
   // Triggers: q1 at 200, 240, 280; q2 at 300, 360, 420. Each query's
@@ -100,8 +102,8 @@ TEST(MultiQueryTest, QueriesOnDistinctSources) {
                          std::make_shared<ConstantRate>(10.0), options));
 
   MultiQueryCoordinator coordinator(&cluster, feed.get());
-  coordinator.AddQuery(q1);
-  coordinator.AddQuery(q2);
+  ASSERT_TRUE(coordinator.AddQuery(q1).ok());
+  ASSERT_TRUE(coordinator.AddQuery(q2).ok());
   EXPECT_EQ(coordinator.PaneSizeForSource(1), 40);
   EXPECT_EQ(coordinator.PaneSizeForSource(2), 100);
   const std::vector<RunReport> reports = coordinator.Run(2).value();
@@ -127,20 +129,55 @@ TEST(MultiQueryTest, SecondRunIsFailedPrecondition) {
   Cluster cluster(kNodes, SmallClusterConfig());
   auto feed = MakeWccFeed(1, 20, 20);
   MultiQueryCoordinator coordinator(&cluster, feed.get());
-  coordinator.AddQuery(MakeAggregationQuery(1, "once", 1, 200, 40, 4));
+  ASSERT_TRUE(
+      coordinator.AddQuery(MakeAggregationQuery(1, "once", 1, 200, 40, 4)).ok());
   ASSERT_TRUE(coordinator.Run(2).ok());
   const StatusOr<std::vector<RunReport>> again = coordinator.Run(2);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(MultiQueryTest, DuplicateQueryIdAborts) {
+TEST(MultiQueryTest, DuplicateQueryIdIsAlreadyExists) {
   Cluster cluster(kNodes, SmallClusterConfig());
   auto feed = MakeWccFeed(1, 20, 20);
   MultiQueryCoordinator coordinator(&cluster, feed.get());
-  coordinator.AddQuery(MakeAggregationQuery(1, "a", 1, 200, 40, 4));
-  EXPECT_DEATH(coordinator.AddQuery(MakeAggregationQuery(1, "b", 1, 200, 40, 4)),
-               "duplicate");
+  ASSERT_TRUE(
+      coordinator.AddQuery(MakeAggregationQuery(1, "a", 1, 200, 40, 4)).ok());
+  const Status dup =
+      coordinator.AddQuery(MakeAggregationQuery(1, "b", 1, 200, 40, 4));
+  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(dup.message().find("duplicate"), std::string::npos);
+  // The rejected query left nothing behind: the coordinator still runs.
+  EXPECT_TRUE(coordinator.Run(1).ok());
+}
+
+TEST(MultiQueryTest, NonPositiveFairWeightIsInvalidArgument) {
+  Cluster cluster(kNodes, SmallClusterConfig());
+  auto feed = MakeWccFeed(1, 20, 20);
+  MultiQueryCoordinator coordinator(&cluster, feed.get());
+  for (double weight : {0.0, -1.0}) {
+    EXPECT_EQ(coordinator
+                  .AddQuery(MakeAggregationQuery(1, "w", 1, 200, 40, 4), {},
+                            weight)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Nothing was registered, so the same id is still free.
+  EXPECT_TRUE(
+      coordinator.AddQuery(MakeAggregationQuery(1, "w", 1, 200, 40, 4)).ok());
+}
+
+TEST(MultiQueryTest, AddQueryAfterRunIsFailedPrecondition) {
+  Cluster cluster(kNodes, SmallClusterConfig());
+  auto feed = MakeWccFeed(1, 20, 20);
+  MultiQueryCoordinator coordinator(&cluster, feed.get());
+  ASSERT_TRUE(
+      coordinator.AddQuery(MakeAggregationQuery(1, "a", 1, 200, 40, 4)).ok());
+  ASSERT_TRUE(coordinator.Run(1).ok());
+  EXPECT_EQ(
+      coordinator.AddQuery(MakeAggregationQuery(2, "late", 1, 200, 40, 4))
+          .code(),
+      StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
